@@ -5,10 +5,12 @@
 //   1. asserts the K=4 run's telemetry is byte-identical to the K=1 run
 //      (exit 1 otherwise) — the engine's core contract: the shard count is
 //      an execution detail, not an input;
-//   2. writes BENCH_shard.json with events/sec per shard count and the
+//   2. writes BENCH_shard.json with events/sec per shard count, the
 //      4-vs-1 / 8-vs-1 speedups (the timing section the scale-gate checks
 //      with CPU-scaled tolerance — absolute rates are machine-dependent,
-//      in-run ratios and the determinism verdict are not).
+//      in-run ratios and the determinism verdict are not), and each timed
+//      run's per-shard sync counters (sync_K), so a red speedup gate comes
+//      with the rounds, stalls, spins and parks that explain it.
 //
 // Not a google-benchmark binary: each "iteration" is a whole simulation and
 // the byte-identity check matters more than ns/op resolution.
@@ -77,6 +79,7 @@ int main() {
   const int shard_counts[] = {1, 2, 4, 8};
   double events_per_sec[4] = {0, 0, 0, 0};
   std::uint64_t events[4] = {0, 0, 0, 0};
+  std::string sync_json[4];
   for (std::size_t i = 0; i < 4; ++i) {
     const auto start = std::chrono::steady_clock::now();
     const scenarios::ScaleFig3Result r = RunScaleFig3(Options(shard_counts[i]));
@@ -87,6 +90,23 @@ int main() {
     std::cout << "shards=" << shard_counts[i] << "  events=" << r.events_processed
               << "  wall=" << elapsed.count()
               << "s  events/sec=" << events_per_sec[i] << "\n";
+    // Per-shard sync counters of the same timed run: why the speedup is
+    // what it is (DESIGN.md §11).  busy = dispatch wall / run wall.
+    std::string sync = "[";
+    for (const telemetry::ShardSyncStats& st : r.shard_sync) {
+      if (st.shard > 0) sync += ", ";
+      sync += telemetry::ShardSyncJson(st);
+      std::printf("  shard %d: rounds=%llu max_step_ms=%.3f busy=%.2f stall=%.2f "
+                  "spins=%llu parks=%llu cross_sends=%llu drains=%llu\n",
+                  st.shard, static_cast<unsigned long long>(st.rounds),
+                  ToSeconds(st.max_step) * 1e3, st.dispatch_ns * 1e-9 / elapsed.count(),
+                  st.stall_ns * 1e-9 / elapsed.count(),
+                  static_cast<unsigned long long>(st.spins),
+                  static_cast<unsigned long long>(st.parks),
+                  static_cast<unsigned long long>(st.cross_sends),
+                  static_cast<unsigned long long>(st.drains));
+    }
+    sync_json[i] = sync + "]";
   }
 
   const double speedup4 = events_per_sec[2] / events_per_sec[0];
@@ -113,7 +133,11 @@ int main() {
       << "    \"events_per_sec_4\": " << Num(events_per_sec[2]) << ",\n"
       << "    \"events_per_sec_8\": " << Num(events_per_sec[3]) << ",\n"
       << "    \"speedup_4_vs_1\": " << Num(speedup4) << ",\n"
-      << "    \"speedup_8_vs_1\": " << Num(speedup8) << "\n"
+      << "    \"speedup_8_vs_1\": " << Num(speedup8) << ",\n"
+      << "    \"sync_1\": " << sync_json[0] << ",\n"
+      << "    \"sync_2\": " << sync_json[1] << ",\n"
+      << "    \"sync_4\": " << sync_json[2] << ",\n"
+      << "    \"sync_8\": " << sync_json[3] << "\n"
       << "  }\n}\n";
 
   return identical ? 0 : 1;

@@ -95,6 +95,7 @@ ScaleFig3Result RunScaleFig3(const ScaleFig3Options& options) {
     sim::ShardedEngine engine(net, opt);
     engine.RunUntil(options.duration);
     engine.Finish();
+    result.shard_sync = engine.SyncStats();
   }
 
   result.events_processed = net.TotalEventsProcessed();

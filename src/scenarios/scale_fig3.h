@@ -42,6 +42,9 @@ struct ScaleFig3Result {
   std::uint64_t events_processed = 0;  // TotalEventsProcessed fingerprint
   std::uint64_t delivered_bytes = 0;   // across all TCP flows
   int flows = 0;
+  /// Engine sync counters per shard (empty on the legacy path).  Timing-
+  /// dependent: for bench timing sections, never for replay comparisons.
+  std::vector<telemetry::ShardSyncStats> shard_sync;
 };
 
 ScaleFig3Result RunScaleFig3(const ScaleFig3Options& options);

@@ -304,8 +304,10 @@ class Network {
   /// single-threaded simulation results; but it is no longer purely
   /// observational.  ShardedEngine validates at construction that the
   /// assigned labels form a dense set (every label in [min, min+R) used)
-  /// and fails fast with a clear error otherwise.  Scenario builders assign
-  /// it; unassigned nodes default to region 0.
+  /// and fails fast with a clear error otherwise.  It cuts the labels into
+  /// contiguous blocks, so number regions along the fabric (ring or line
+  /// order) to keep shard boundaries few.  Scenario builders assign it;
+  /// unassigned nodes default to region 0.
   void set_node_region(NodeId id, std::uint32_t region) {
     const auto i = static_cast<std::size_t>(id);
     if (i >= node_region_.size()) node_region_.resize(i + 1, 0);

@@ -17,13 +17,15 @@
 // synchronization — the message parks in the shard's own PacketPool slot
 // and goes straight onto the receive FIFO.  Cross-shard channels hand the
 // packet over by value through a mutex-guarded inbox, paired with a
-// release-published clock: the sender promises it will never again stage a
-// send on this channel with a delivery time below `clock`.  The promise
-// holds because link serialization makes per-channel delivery times
-// monotone (arrive = max(now, next_free) + tx + prop, with next_free
-// monotone per link), and because the clock is stored after the sends it
-// covers — an acquire load of the clock therefore makes every covered
-// inbox entry visible to the subsequent drain.
+// published clock: the sender promises it will never again stage a send on
+// this channel with a delivery time below `clock`.  The promise holds
+// because link serialization makes per-channel delivery times monotone
+// (arrive = max(now, next_free) + tx + prop, with next_free monotone per
+// link), and because the clock is stored after the sends it covers — a
+// load of the clock (seq_cst, hence at least acquire) therefore makes
+// every covered inbox entry visible to the subsequent drain.  The clock is
+// seq_cst rather than release/acquire only for the engine's park protocol
+// (sharded_engine.cpp, AwaitHorizon).
 #pragma once
 
 #include <atomic>
@@ -76,10 +78,14 @@ struct ShardChannel {
   // ---- Cross-shard handoff (untouched on same-shard channels) ----
   std::mutex mu;
   std::vector<ChannelMsg> inbox;  // staged under mu, drained under mu
+  /// Receiver-owned drain buffer: swapped with `inbox` under mu, emptied
+  /// into `fifo` outside it, then cleared — both vectors keep their
+  /// capacity, so steady-state drains allocate nothing.
+  std::vector<ChannelMsg> drained;
   /// Sender promise: no future send on this channel delivers below this.
-  /// Stored with release AFTER the sends it covers; loaded with acquire by
-  /// the receiver BEFORE draining, so every send below the loaded value is
-  /// visible to that drain (see file comment).
+  /// Stored AFTER the sends it covers; loaded by the receiver BEFORE
+  /// draining, so every send below the loaded value is visible to that
+  /// drain (see file comment).
   std::atomic<SimTime> clock{0};
 };
 

@@ -1,7 +1,7 @@
 #include "sim/sharded_engine.h"
 
 #include <algorithm>
-#include <numeric>
+#include <chrono>
 #include <stdexcept>
 #include <string>
 
@@ -16,6 +16,23 @@ namespace {
 // The shard whose dispatch loop the calling thread is inside (nullptr on
 // the coordinator).  Typed void* because Shard is private to the engine.
 thread_local void* g_current_shard = nullptr;
+
+// One spin-wait hint: lets the sibling hyperthread run and avoids the
+// memory-order pipeline flush when the awaited clock finally changes.
+inline void CpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield" ::: "memory");
+#endif
+}
+
+std::uint64_t ElapsedNs(std::chrono::steady_clock::time_point t0) {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - t0)
+          .count());
+}
 
 }  // namespace
 
@@ -103,21 +120,35 @@ void ShardedEngine::ValidateAndPartition(int requested_shards) {
     shards_.back()->index = i;
   }
 
-  // Greedy balance: regions by descending weight (index ascending on ties)
-  // onto the currently lightest shard (lowest index on ties).  Whole
-  // regions only — a region is the unit of single-threaded state.
-  std::vector<std::size_t> order(num_regions);
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return weight[a] != weight[b] ? weight[a] > weight[b] : a < b;
-  });
-  std::vector<std::uint64_t> load(static_cast<std::size_t>(k), 0);
+  // Contiguous arcs: regions in label order, cut into k blocks of
+  // near-equal node weight.  Scenarios number regions along the fabric, so
+  // a ring or line of regions crosses only k shard boundaries (a
+  // round-robin deal would cut every inter-region link).  Whole regions
+  // only — a region is the unit of single-threaded state.  Cut j lands on
+  // the prefix closest to j/k of the total weight (earlier cut on ties),
+  // leaving at least one region for every block.
+  std::vector<std::uint64_t> prefix(num_regions + 1, 0);
+  for (std::size_t r = 0; r < num_regions; ++r) prefix[r + 1] = prefix[r] + weight[r];
+  const std::uint64_t total = prefix[num_regions];
+  const auto uk = static_cast<std::size_t>(k);
   std::vector<int> region_shard(num_regions, 0);
-  for (std::size_t r : order) {
-    const auto lightest = static_cast<std::size_t>(
-        std::min_element(load.begin(), load.end()) - load.begin());
-    region_shard[r] = static_cast<int>(lightest);
-    load[lightest] += weight[r];
+  std::size_t begin = 0;
+  for (std::size_t j = 1; j <= uk; ++j) {
+    std::size_t end = num_regions;
+    if (j < uk) {
+      // Distance of prefix[c] from the ideal cut, scaled by k (exact).
+      const auto miss = [&](std::size_t c) {
+        const std::uint64_t have = prefix[c] * uk;
+        const std::uint64_t want = total * j;
+        return have > want ? have - want : want - have;
+      };
+      end = begin + 1;
+      for (std::size_t c = end + 1; c <= num_regions - (uk - j); ++c) {
+        if (miss(c) < miss(end)) end = c;
+      }
+    }
+    for (std::size_t r = begin; r < end; ++r) region_shard[r] = static_cast<int>(j - 1);
+    begin = end;
   }
 
   node_shard_.resize(static_cast<std::size_t>(num_nodes));
@@ -149,12 +180,21 @@ void ShardedEngine::BuildChannels() {
             "regions");
       }
       min_cross_lookahead_ = std::min(min_cross_lookahead_, info.prop_delay);
+      // Every shard starts at pos 0, so the first promise (0 + lookahead)
+      // holds already: publishing it here spares the first round a wait.
+      c->clock.store(c->lookahead, std::memory_order_relaxed);
     }
     Shard& dst = *shards_[static_cast<std::size_t>(c->dst_shard)];
     dst.inbound.push_back(c.get());
     if (c->cross) {
       dst.inbound_cross.push_back(c.get());
-      shards_[static_cast<std::size_t>(c->src_shard)]->outbound_cross.push_back(c.get());
+      dst.lookahead = std::min(dst.lookahead, c->lookahead);
+      Shard& src = *shards_[static_cast<std::size_t>(c->src_shard)];
+      src.outbound_cross.push_back(c.get());
+      if (std::find(src.downstream.begin(), src.downstream.end(), &dst) ==
+          src.downstream.end()) {
+        src.downstream.push_back(&dst);
+      }
     }
     channels_.push_back(std::move(c));
   }
@@ -234,13 +274,13 @@ void ShardedEngine::StageDelivery(LinkId link, SimTime arrive, Packet&& pkt) {
 
 void ShardedEngine::DrainInboxes(Shard& s) {
   for (ShardChannel* c : s.inbound_cross) {
-    std::vector<ChannelMsg> batch;
     {
       std::lock_guard<std::mutex> lk(c->mu);
       if (c->inbox.empty()) continue;
-      batch.swap(c->inbox);
+      c->drained.swap(c->inbox);  // the sender keeps the emptied buffer
     }
-    for (auto& m : batch) {
+    ++s.stats.drains;
+    for (auto& m : c->drained) {
       if (m.t < s.pos) horizon_violations_.fetch_add(1, std::memory_order_relaxed);
       if (!c->fifo.empty() &&
           (m.t < c->fifo.back().t ||
@@ -254,6 +294,7 @@ void ShardedEngine::DrainInboxes(Shard& s) {
         std::push_heap(s.ready.begin(), s.ready.end(), ChannelHeadAfter{});
       }
     }
+    c->drained.clear();
   }
 }
 
@@ -317,36 +358,97 @@ void ShardedEngine::DispatchUpTo(Shard& s, SimTime cap) {
   }
 }
 
+void ShardedEngine::PublishClocks(Shard& s) {
+  // Even a shard with nothing to do must keep its promise clocks advancing
+  // or its neighbours never make progress (the null-message role).  pos is
+  // monotone, so stores are monotone.
+  bool moved = false;
+  for (ShardChannel* c : s.outbound_cross) {
+    const SimTime v = s.pos + c->lookahead;
+    if (v > c->clock.load(std::memory_order_relaxed)) {
+      c->clock.store(v, std::memory_order_seq_cst);
+      moved = true;
+    }
+  }
+  if (!moved) return;
+  // Wake half of the park protocol (AwaitHorizon): the clock stores above
+  // and these flag loads are seq_cst, so either the parking receiver's
+  // re-check sees the new clock or this load sees its flag.
+  for (Shard* d : s.downstream) {
+    if (d->parked.load(std::memory_order_seq_cst)) {
+      d->wake.fetch_add(1, std::memory_order_relaxed);
+      d->wake.notify_one();
+    }
+  }
+}
+
+SimTime ShardedEngine::NextBound(const Shard& s, SimTime bound) const {
+  // Horizon: load inbound clocks BEFORE draining — a clock load makes
+  // every send below it visible to the drain that follows
+  // (shard_channel.h), so dispatching strictly below the horizon can never
+  // miss a delivery.
+  SimTime horizon = EventQueue::kNoEvent;
+  for (const ShardChannel* c : s.inbound_cross) {
+    horizon = std::min(horizon, c->clock.load(std::memory_order_seq_cst));
+  }
+  // Step cap: never advance more than one lookahead per round.  Without
+  // it, neighbours phase-lock into alternation — a shard at pos whose
+  // neighbours sit at pos + L sees horizon pos + 2L and runs 2L while they
+  // wait, then the roles swap — so only half the shards ever work at once.
+  // Capped, every shard advances L per round in lockstep.  Saturating: at
+  // K=1 the lookahead is kNoEvent.
+  const SimTime cap = s.pos > EventQueue::kNoEvent - s.lookahead ? EventQueue::kNoEvent
+                                                                  : s.pos + s.lookahead;
+  return std::min({bound, horizon, cap});
+}
+
+SimTime ShardedEngine::AwaitHorizon(Shard& s, SimTime bound) {
+  // Neighbours usually trail by a few microseconds of dispatch work, so
+  // spin briefly first; past that, park so an oversubscribed host (K above
+  // the core count) hands the core to the shard being waited on.
+  constexpr int kSpinLimit = 64;
+  const auto t0 = std::chrono::steady_clock::now();
+  SimTime b = s.pos;
+  int spins_left = kSpinLimit;
+  while (b <= s.pos) {
+    if (spins_left-- > 0) {
+      CpuRelax();
+      ++s.stats.spins;
+    } else {
+      // Park half of the protocol: read the wake word, raise the flag,
+      // then re-check.  A neighbour publishing after the re-check sees the
+      // flag (seq_cst on both sides, see PublishClocks) and bumps the word
+      // away from `w`, so the wait cannot miss it.
+      const std::uint32_t w = s.wake.load(std::memory_order_relaxed);
+      s.parked.store(true, std::memory_order_seq_cst);
+      if (NextBound(s, bound) <= s.pos) {
+        ++s.stats.parks;
+        s.wake.wait(w, std::memory_order_relaxed);
+      }
+      s.parked.store(false, std::memory_order_relaxed);
+      spins_left = kSpinLimit;
+    }
+    b = NextBound(s, bound);
+  }
+  s.stats.stall_ns += ElapsedNs(t0);
+  return b;
+}
+
 void ShardedEngine::RunShardWindow(Shard& s, SimTime bound) {
   for (;;) {
-    // Publish first: even a shard with nothing to do must keep its promise
-    // clocks advancing or its neighbors never make progress (the
-    // null-message role).  pos is monotone, so stores are monotone.
-    for (ShardChannel* c : s.outbound_cross) {
-      const SimTime v = s.pos + c->lookahead;
-      if (v > c->clock.load(std::memory_order_relaxed)) {
-        c->clock.store(v, std::memory_order_release);
-      }
-    }
+    PublishClocks(s);
     if (s.pos >= bound) break;
-
-    // Horizon: load inbound clocks BEFORE draining — an acquire load of a
-    // clock value makes every send below it visible to the drain that
-    // follows (shard_channel.h), so dispatching strictly below the horizon
-    // can never miss a delivery.
-    SimTime horizon = EventQueue::kNoEvent;
-    for (ShardChannel* c : s.inbound_cross) {
-      horizon = std::min(horizon, c->clock.load(std::memory_order_acquire));
-    }
+    SimTime b = NextBound(s, bound);
+    if (b <= s.pos) b = AwaitHorizon(s, bound);
+    // Drain only on advance, after the clock loads in NextBound.
+    const auto t0 = std::chrono::steady_clock::now();
     DrainInboxes(s);
-
-    const SimTime b = std::min(bound, horizon);
-    if (b > s.pos) {
-      DispatchUpTo(s, b - 1);
-      s.pos = b;
-    } else {
-      std::this_thread::yield();  // wait for neighbors' clocks to advance
-    }
+    DispatchUpTo(s, b - 1);
+    s.stats.dispatch_ns += ElapsedNs(t0);
+    ++s.stats.rounds;
+    s.stats.advanced += b - s.pos;
+    s.stats.max_step = std::max(s.stats.max_step, b - s.pos);
+    s.pos = b;
   }
 }
 
@@ -425,6 +527,23 @@ void ShardedEngine::RunUntil(SimTime until) {
   gq.AdvanceTo(until);
 }
 
+std::vector<telemetry::ShardSyncStats> ShardedEngine::SyncStats() const {
+  std::vector<telemetry::ShardSyncStats> out;
+  out.reserve(shards_.size());
+  for (const auto& s : shards_) {
+    telemetry::ShardSyncStats st = s->stats;
+    st.shard = s->index;
+    static_assert(telemetry::ShardSyncStats::kNoLookahead == EventQueue::kNoEvent);
+    st.lookahead = s->lookahead;
+    st.events = s->queue.processed() + s->sink.deliveries;
+    // Every send on a channel takes one sequence number, so the sender's
+    // tally costs nothing on the hot path.
+    for (const ShardChannel* c : s->outbound_cross) st.cross_sends += c->next_seq;
+    out.push_back(st);
+  }
+  return out;
+}
+
 std::uint64_t ShardedEngine::TotalEvents() const {
   std::uint64_t total = net_.events_.processed() - coord_processed_at_attach_;
   for (const auto& s : shards_) total += s->queue.processed() + s->sink.deliveries;
@@ -497,6 +616,7 @@ void ShardedEngine::Finish() {
     for (const auto& s : shards_) {
       if (s->prof != nullptr) net_.prof_->MergeFrom(*s->prof);
     }
+    for (const auto& st : SyncStats()) net_.prof_->AddShardSync(st);
   }
   std::uint64_t extra = 0;
   for (const auto& s : shards_) extra += s->queue.processed() + s->sink.deliveries;

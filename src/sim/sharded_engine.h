@@ -1,13 +1,23 @@
 // ShardedEngine: conservative-sync parallel execution of one Network.
 //
+// Scenarios opt in through sim::RunOptions::shards (scenarios::RunScenario
+// and the per-scenario options structs); shards <= 0 keeps the legacy
+// single-threaded Network::RunUntil path.
+//
 // The topology is partitioned into K shards along the scenario's
-// set_node_region labels (whole regions never split).  Each shard owns a
-// private EventQueue, PacketPool, telemetry ShardSink, and (when profiling
-// is on) Profiler, and runs on its own worker thread.  Cross-shard packet
-// hops travel through per-link ShardChannels under a null-message
-// protocol: a shard may dispatch up to (exclusive) the minimum of its
-// inbound channel clocks, where each sender publishes clock = local
-// position + link propagation delay.  All cross-shard links must have
+// set_node_region labels (whole regions never split): regions are taken in
+// label order and cut into K contiguous blocks of near-equal node weight,
+// so a ring or line of regions crosses only K shard boundaries.  Each
+// shard owns a private EventQueue, PacketPool, telemetry ShardSink, and
+// (when profiling is on) Profiler, and runs on its own worker thread.
+// Cross-shard packet hops travel through per-link ShardChannels under a
+// null-message protocol: each sender publishes clock = local position +
+// link propagation delay, and a shard may dispatch up to (exclusive) the
+// minimum of its inbound channel clocks — further capped at position +
+// its smallest inbound lookahead, which keeps neighbours in lockstep
+// rounds instead of alternating (DESIGN.md §11).  A shard whose horizon
+// has not moved pause-spins briefly, then parks on a per-shard wake word
+// that publishing neighbours bump.  All cross-shard links must have
 // strictly positive propagation delay or the protocol cannot advance.
 //
 // Time is additionally windowed by the coordinator: shards run in parallel
@@ -42,6 +52,7 @@
 // did not.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
@@ -101,6 +112,12 @@ class ShardedEngine {
   /// Smallest cross-shard lookahead (kNoEvent when K=1 / no cross links).
   SimTime min_cross_lookahead() const { return min_cross_lookahead_; }
 
+  /// Per-shard synchronisation counters accumulated so far (rounds, steps,
+  /// dispatch vs stall wall time, spins, parks, sends, drains).  Call only
+  /// while the workers are parked: between RunUntil calls or after Finish.
+  /// Finish also records them into the network's profiler, if any.
+  std::vector<telemetry::ShardSyncStats> SyncStats() const;
+
   // ---- Invariant counters (must stay 0; tests pin them) ----
   /// Deliveries that arrived below an already-dispatched position — a
   /// lookahead/horizon violation.
@@ -128,7 +145,17 @@ class ShardedEngine {
     std::vector<ShardChannel*> inbound_cross;  // subset with a foreign sender
     std::vector<ShardChannel*> outbound_cross;
     std::vector<ShardChannel*> ready;  // merge heap of nonempty inbound
+    std::vector<Shard*> downstream;    // distinct receivers of outbound_cross
     SimTime pos = 0;                   // exclusive dispatch frontier
+    /// Smallest inbound cross-shard lookahead: no round advances pos by
+    /// more than this (kNoEvent when nothing crosses in).
+    SimTime lookahead = EventQueue::kNoEvent;
+    /// Park protocol (AwaitHorizon): `parked` is set while the worker may
+    /// block on `wake`; a neighbour that publishes a clock while it is set
+    /// bumps `wake` and notifies.
+    std::atomic<std::uint32_t> wake{0};
+    std::atomic<bool> parked{false};
+    telemetry::ShardSyncStats stats;  // counters, owner worker only
     std::thread thread;
   };
 
@@ -139,6 +166,15 @@ class ShardedEngine {
   /// Runs shard `s` forward until its frontier reaches `bound`
   /// (exclusive), advancing through the null-message horizon.
   void RunShardWindow(Shard& s, SimTime bound);
+  /// Stores pos + lookahead on every outbound cross channel and wakes any
+  /// parked receiver.
+  void PublishClocks(Shard& s);
+  /// The frontier `s` may advance to now: min(bound, inbound horizon,
+  /// pos + lookahead).  A result <= pos means "must wait".
+  SimTime NextBound(const Shard& s, SimTime bound) const;
+  /// Waits until NextBound exceeds pos — a bounded pause-spin, then parks
+  /// on the shard's wake word — and returns that bound.
+  SimTime AwaitHorizon(Shard& s, SimTime bound);
   /// Dispatches heap events and channel deliveries with t <= cap under the
   /// canonical merge order.
   void DispatchUpTo(Shard& s, SimTime cap);

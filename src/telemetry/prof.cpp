@@ -112,6 +112,7 @@ void Profiler::MergeFrom(const Profiler& other) {
   }
   occupancy_.Merge(other.occupancy_);
   export_ns_ += other.export_ns_;
+  shard_sync_.insert(shard_sync_.end(), other.shard_sync_.begin(), other.shard_sync_.end());
   region_tick_ += other.region_tick_;
 }
 
@@ -119,7 +120,7 @@ bool Profiler::HasData() const {
   for (std::size_t s = 0; s < kSiteCount; ++s) {
     if (site_calls_[s] > 0) return true;
   }
-  if (!nodes_.empty() || occupancy_.count() > 0) return true;
+  if (!nodes_.empty() || occupancy_.count() > 0 || !shard_sync_.empty()) return true;
   for (const auto& r : regions_) {
     if (r.events > 0) return true;
   }
@@ -133,6 +134,19 @@ std::string Profiler::PathOf(std::size_t node_index) const {
     path.insert(0, std::string(ProfSiteName(p->site)) + ".");
   }
   return path;
+}
+
+std::string ShardSyncJson(const ShardSyncStats& stats) {
+  const auto u = [](std::uint64_t v) { return std::to_string(v); };
+  const auto i = [](SimTime v) { return std::to_string(v); };
+  return "{\"shard\":" + std::to_string(stats.shard) + ",\"lookahead_ns\":" +
+         (stats.lookahead == ShardSyncStats::kNoLookahead ? std::string("null")
+                                                          : i(stats.lookahead)) +
+         ",\"rounds\":" + u(stats.rounds) + ",\"advanced_ns\":" + i(stats.advanced) +
+         ",\"max_step_ns\":" + i(stats.max_step) + ",\"events\":" + u(stats.events) +
+         ",\"dispatch_ns\":" + u(stats.dispatch_ns) + ",\"stall_ns\":" + u(stats.stall_ns) +
+         ",\"spins\":" + u(stats.spins) + ",\"parks\":" + u(stats.parks) +
+         ",\"cross_sends\":" + u(stats.cross_sends) + ",\"drains\":" + u(stats.drains) + "}";
 }
 
 std::string Profiler::ToJsonSection(bool include_wall) const {
@@ -199,6 +213,15 @@ std::string Profiler::ToJsonSection(bool include_wall) const {
 
   if (include_wall) {
     out += ",\"export_ns\":" + std::to_string(export_ns_);
+    // Sharded-engine sync counters: timing-dependent, so wall view only.
+    if (!shard_sync_.empty()) {
+      out += ",\"shard_sync\":[";
+      for (std::size_t i = 0; i < shard_sync_.size(); ++i) {
+        if (i > 0) out += ",";
+        out += ShardSyncJson(shard_sync_[i]);
+      }
+      out += "]";
+    }
   }
   out += "}";
   return out;

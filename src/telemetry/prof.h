@@ -53,6 +53,7 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -76,6 +77,34 @@ enum class ProfSite : std::uint8_t {
 const char* ProfSiteName(ProfSite site);
 
 class ProfScope;
+
+/// One shard's synchronisation counters from a sim::ShardedEngine run
+/// (DESIGN.md §11).  Round and spin counts depend on thread timing and
+/// the *_ns fields are wall clock, so these appear only in the prof
+/// section's wall view and in bench timing subtrees — never in
+/// replay-pinned telemetry.  The engine pays one increment per round (or
+/// per wait), never per event.
+struct ShardSyncStats {
+  static constexpr SimTime kNoLookahead = std::numeric_limits<SimTime>::max();
+
+  int shard = 0;
+  /// Smallest inbound cross-shard lookahead: the per-round step cap.
+  /// kNoLookahead when nothing crosses into the shard (K=1).
+  SimTime lookahead = kNoLookahead;
+  std::uint64_t rounds = 0;       // frontier advances, one dispatch round each
+  SimTime advanced = 0;           // sim time advanced over all rounds
+  SimTime max_step = 0;           // longest single advance
+  std::uint64_t events = 0;       // heap events + channel deliveries dispatched
+  std::uint64_t dispatch_ns = 0;  // wall time draining inboxes and dispatching
+  std::uint64_t stall_ns = 0;     // wall time waiting on neighbours' clocks
+  std::uint64_t spins = 0;        // pause-spin iterations while waiting
+  std::uint64_t parks = 0;        // blocking waits on the shard's wake word
+  std::uint64_t cross_sends = 0;  // messages staged on outbound cross-shard channels
+  std::uint64_t drains = 0;       // non-empty inbox batches taken
+};
+
+/// `stats` as one JSON object (lookahead is null when kNoLookahead).
+std::string ShardSyncJson(const ShardSyncStats& stats);
 
 class Profiler {
  public:
@@ -153,6 +182,11 @@ class Profiler {
   /// prof section itself (recorded out-of-tree to avoid self-reference).
   void RecordExportNs(std::uint64_t ns) { export_ns_ += ns; }
 
+  /// Sharded-engine sync counters, one entry per shard per engine run
+  /// (recorded by ShardedEngine::Finish).  Wall view only.
+  void AddShardSync(const ShardSyncStats& stats) { shard_sync_.push_back(stats); }
+  const std::vector<ShardSyncStats>& shard_sync() const { return shard_sync_; }
+
   // ---- Introspection / export ----
 
   const std::vector<Node>& nodes() const { return nodes_; }
@@ -187,7 +221,7 @@ class Profiler {
   void MergeFrom(const Profiler& other);
 
   /// The "prof" JSON section.  With `include_wall` false every
-  /// machine-dependent field (sampled_ns, est_ns, export_ns) is omitted,
+  /// machine-dependent field (sampled_ns, est_ns, export_ns, shard_sync) is omitted,
   /// leaving a deterministic document — what the determinism tests compare.
   std::string ToJsonSection(bool include_wall = true) const;
 
@@ -216,6 +250,7 @@ class Profiler {
   std::vector<RegionStat> regions_;  // sized kMaxRegions by Enable
   Summary occupancy_;
   std::uint64_t export_ns_ = 0;
+  std::vector<ShardSyncStats> shard_sync_;
 };
 
 /// RAII scope for a profiler site.  Safe on a null profiler: the common

@@ -10,8 +10,10 @@
 // validation of the region partition.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "scenarios/builder.h"
 #include "scenarios/faulty_fig3.h"
@@ -124,6 +126,8 @@ TEST(Shard, FaultyFig3CrashInOneShardFloodInAnother) {
 }
 
 TEST(Shard, ScaleFabricDeterministicAcrossK) {
+  // K=3 cuts the 8-region ring into uneven arcs (3, 2 and 3 regions); the
+  // other counts cut it evenly.  Every K must replay K=1 byte for byte.
   auto opts = [](telemetry::Recorder* rec, int shards) {
     ScaleFig3Options opt;
     opt.seed = 7;
@@ -134,18 +138,182 @@ TEST(Shard, ScaleFabricDeterministicAcrossK) {
     opt.recorder = rec;
     return opt;
   };
-  telemetry::Recorder rec1, rec2, rec8;
+  telemetry::Recorder rec1;
   const ScaleFig3Result r1 = RunScaleFig3(opts(&rec1, 1));
-  const ScaleFig3Result r2 = RunScaleFig3(opts(&rec2, 2));
-  const ScaleFig3Result r8 = RunScaleFig3(opts(&rec8, 8));
-
   const std::string j1 = ExportNoProf(rec1);
-  EXPECT_EQ(j1, ExportNoProf(rec2));
-  EXPECT_EQ(j1, ExportNoProf(rec8));
   EXPECT_GT(r1.delivered_bytes, 0u);
-  EXPECT_EQ(r1.delivered_bytes, r8.delivered_bytes);
-  EXPECT_EQ(r1.events_processed, r2.events_processed);
-  EXPECT_EQ(r1.events_processed, r8.events_processed);
+  for (int k : {2, 3, 4, 8}) {
+    SCOPED_TRACE("K=" + std::to_string(k));
+    telemetry::Recorder rec;
+    const ScaleFig3Result r = RunScaleFig3(opts(&rec, k));
+    EXPECT_EQ(j1, ExportNoProf(rec));
+    EXPECT_EQ(r1.delivered_bytes, r.delivered_bytes);
+    EXPECT_EQ(r1.events_processed, r.events_processed);
+    // Every shard, on every arc, did work and sent across its boundaries.
+    ASSERT_EQ(r.shard_sync.size(), static_cast<std::size_t>(k));
+    for (const auto& st : r.shard_sync) {
+      EXPECT_GT(st.events, 0u);
+      EXPECT_GT(st.cross_sends, 0u);
+    }
+  }
+}
+
+TEST(Shard, RegionsPartitionIntoContiguousArcs) {
+  // Eight equal regions on a ring, two switches each.  Regions are taken
+  // in label order and cut into contiguous blocks: K=4 gives {1,2} {3,4}
+  // {5,6} {7,8} and crosses only the 4 ring links between blocks (8
+  // directed channels); K=3 gives near-equal blocks of 3, 2 and 3.
+  constexpr int kRegions = 8;
+  sim::Topology topo;
+  std::vector<NodeId> head, tail;
+  for (int r = 0; r < kRegions; ++r) {
+    head.push_back(topo.AddNode(sim::NodeKind::kSwitch, "h" + std::to_string(r)));
+    tail.push_back(topo.AddNode(sim::NodeKind::kSwitch, "t" + std::to_string(r)));
+    topo.AddDuplexLink(head.back(), tail.back(), 100e6, kMillisecond, 200'000);
+  }
+  for (int r = 0; r < kRegions; ++r) {
+    topo.AddDuplexLink(tail[static_cast<std::size_t>(r)],
+                       head[static_cast<std::size_t>((r + 1) % kRegions)], 100e6,
+                       kMillisecond, 200'000);
+  }
+  sim::Network net(topo, 1);
+  for (int r = 0; r < kRegions; ++r) {
+    net.set_node_region(head[static_cast<std::size_t>(r)], static_cast<std::uint32_t>(r + 1));
+    net.set_node_region(tail[static_cast<std::size_t>(r)], static_cast<std::uint32_t>(r + 1));
+  }
+
+  auto shard_of_region = [&](const sim::ShardedEngine& engine) {
+    std::vector<int> out;
+    for (int r = 0; r < kRegions; ++r) {
+      const int sh = engine.shard_of_node(head[static_cast<std::size_t>(r)]);
+      EXPECT_EQ(sh, engine.shard_of_node(tail[static_cast<std::size_t>(r)]))
+          << "region " << r + 1 << " split across shards";
+      out.push_back(sh);
+    }
+    return out;
+  };
+  auto cross_channels = [&](const sim::ShardedEngine& engine) {
+    int n = 0;
+    for (LinkId l = 0; l < static_cast<LinkId>(topo.NumLinks()); ++l) {
+      const auto& info = topo.link(l);
+      if (engine.shard_of_node(info.from) != engine.shard_of_node(info.to)) ++n;
+    }
+    return n;
+  };
+  {
+    sim::ShardedEngine engine(net, {.shards = 4});
+    EXPECT_EQ(shard_of_region(engine), (std::vector<int>{0, 0, 1, 1, 2, 2, 3, 3}));
+    EXPECT_EQ(cross_channels(engine), 8);
+  }
+  {
+    sim::ShardedEngine engine(net, {.shards = 3});
+    EXPECT_EQ(shard_of_region(engine), (std::vector<int>{0, 0, 0, 1, 1, 2, 2, 2}));
+    EXPECT_EQ(cross_channels(engine), 6);
+  }
+}
+
+TEST(Shard, SingleShardRunsAcrossManyCoordinatorWindows) {
+  // At K=1 no channel crosses shards, so the step cap is pos + kNoEvent —
+  // it must saturate, not overflow, from the second coordinator window on.
+  // Fig3's attack drivers and link sampling put many globals in the run,
+  // and the run is split over several RunUntil calls; it must replay a
+  // one-call K=1 run exactly, without the lone shard ever waiting.
+  auto run = [](const std::vector<SimTime>& stops, std::vector<telemetry::ShardSyncStats>* sync) {
+    telemetry::Recorder rec;
+    ScenarioBuilder builder;
+    builder.Seed(1).Defense(DefenseKind::kFastFlex).AttackAt(4 * kSecond).Record(&rec);
+    BuiltScenario s = builder.Build();
+    sim::ShardedEngine engine(*s.net, {.shards = 1});
+    for (SimTime t : stops) engine.RunUntil(t);
+    engine.Finish();
+    EXPECT_EQ(engine.horizon_violations(), 0u);
+    EXPECT_EQ(engine.order_violations(), 0u);
+    *sync = engine.SyncStats();
+    s.net->CollectTelemetry(rec);
+    s.net->SetTelemetry(nullptr);
+    return ExportNoProf(rec);
+  };
+  std::vector<telemetry::ShardSyncStats> split_sync, whole_sync;
+  const std::string split =
+      run({2 * kSecond, 5 * kSecond, 5 * kSecond, 9 * kSecond}, &split_sync);
+  const std::string whole = run({9 * kSecond}, &whole_sync);
+  EXPECT_EQ(split, whole) << "splitting a K=1 run over RunUntil calls changed it";
+
+  ASSERT_EQ(split_sync.size(), 1u);
+  const telemetry::ShardSyncStats& st = split_sync[0];
+  EXPECT_EQ(st.lookahead, telemetry::ShardSyncStats::kNoLookahead);
+  EXPECT_GT(st.rounds, 4u) << "expected one round per coordinator window";
+  EXPECT_EQ(st.advanced, 9 * kSecond + 1);  // the frontier ends at until + 1
+  EXPECT_EQ(st.spins, 0u);
+  EXPECT_EQ(st.parks, 0u);
+  EXPECT_EQ(st.cross_sends, 0u);
+  EXPECT_EQ(st.events, whole_sync[0].events);
+}
+
+TEST(Shard, NoRoundAdvancesPastItsLookahead) {
+  // The step cap: a round moves a shard's frontier by at most its smallest
+  // inbound cross-shard lookahead, so neighbours advance in lockstep
+  // instead of alternating.  Checked on the HotNets fabric (uneven
+  // lookaheads: 2 ms and 15-20 ms region stitches) and on the ring.
+  ScenarioBuilder builder;
+  builder.Seed(2).Defense(DefenseKind::kFastFlex).AttackAt(3 * kSecond);
+  BuiltScenario s = builder.Build();
+  sim::ShardedEngine engine(*s.net, {.shards = 3});
+  engine.RunUntil(8 * kSecond);
+  engine.Finish();
+  EXPECT_EQ(engine.horizon_violations(), 0u);
+  EXPECT_EQ(engine.order_violations(), 0u);
+
+  auto check = [](const std::vector<telemetry::ShardSyncStats>& sync, SimTime until) {
+    for (const auto& st : sync) {
+      SCOPED_TRACE("shard " + std::to_string(st.shard));
+      ASSERT_NE(st.lookahead, telemetry::ShardSyncStats::kNoLookahead);
+      EXPECT_GT(st.rounds, 0u);
+      EXPECT_GT(st.max_step, 0);
+      EXPECT_LE(st.max_step, st.lookahead);
+      EXPECT_EQ(st.advanced, until + 1);
+      // Lockstep: at least one round per lookahead of simulated time.
+      EXPECT_GE(st.rounds, static_cast<std::uint64_t>(until / st.lookahead));
+    }
+  };
+  const auto fig3_sync = engine.SyncStats();
+  ASSERT_EQ(fig3_sync.size(), 3u);
+  check(fig3_sync, 8 * kSecond);
+  SimTime min_lookahead = sim::EventQueue::kNoEvent;
+  for (const auto& st : fig3_sync) min_lookahead = std::min(min_lookahead, st.lookahead);
+  EXPECT_EQ(min_lookahead, engine.min_cross_lookahead());
+
+  ScaleFig3Options ring;
+  ring.seed = 5;
+  ring.duration = kSecond;
+  ring.clients_per_region = 1;
+  ring.shards = 4;
+  const ScaleFig3Result r = RunScaleFig3(ring);
+  ASSERT_EQ(r.shard_sync.size(), 4u);
+  check(r.shard_sync, kSecond);
+  for (const auto& st : r.shard_sync) EXPECT_EQ(st.lookahead, ring.region_delay);
+}
+
+TEST(Shard, SyncCountersReachOnlyTheProfWallView) {
+  // Round, spin and park counts depend on thread timing: they may appear
+  // in the prof section's wall view and nowhere else.
+  telemetry::Recorder rec;
+  rec.prof().Enable();
+  ScenarioBuilder builder;
+  builder.Seed(1).Defense(DefenseKind::kFastFlex).AttackAt(3 * kSecond).Record(&rec);
+  BuiltScenario s = builder.Build();
+  sim::RunOptions run;
+  run.duration = 5 * kSecond;
+  run.shards = 2;
+  RunScenario(s, run);
+  s.net->SetTelemetry(nullptr);
+
+  ASSERT_EQ(rec.prof().shard_sync().size(), 2u);
+  EXPECT_GT(rec.prof().shard_sync()[0].rounds, 0u);
+  EXPECT_NE(rec.prof().ToJsonSection(true).find("\"shard_sync\""), std::string::npos);
+  EXPECT_EQ(rec.prof().ToJsonSection(false).find("shard_sync"), std::string::npos);
+  EXPECT_NE(telemetry::ToJson(rec).find("\"shard_sync\""), std::string::npos);
+  EXPECT_EQ(ExportNoProf(rec).find("shard_sync"), std::string::npos);
 }
 
 TEST(Shard, WorkerContextFlightDumpMergesCanonically) {
