@@ -28,6 +28,13 @@ bool Contains(const std::vector<Address>& v, Address a) {
   return std::find(v.begin(), v.end(), a) != v.end();
 }
 
+/// "switch.<sw>.<family>.<name>" in `rec`'s registry (nullptr when detached).
+telemetry::Counter* SwitchCounter(telemetry::Recorder* rec, const sim::SwitchNode* sw,
+                                  const char* family, const char* name) {
+  if (rec == nullptr) return nullptr;
+  return &rec->metrics().GetCounter(telemetry::Join("switch", sw->id(), family, name));
+}
+
 }  // namespace
 
 std::uint64_t SynCookie(std::uint64_t secret, Address src, Address dst,
@@ -60,7 +67,7 @@ SynRateDetectorPpm::SynRateDetectorPpm(sim::Network* net, sim::SwitchNode* sw,
       config_(config),
       hard_(hardening),
       alarm_(std::move(alarm)),
-      adv_(recorder != nullptr ? &recorder->adv_stats() : nullptr) {}
+      raises_suppressed_ctr_(SwitchCounter(recorder, sw, "adv", "raises_suppressed")) {}
 
 void SynRateDetectorPpm::StartTimers() {
   std::weak_ptr<Ppm> weak = weak_from_this();
@@ -103,7 +110,7 @@ void SynRateDetectorPpm::Check() {
         if (alarm_) alarm_(dataplane::attack::kSynFlood, dataplane::mode::kSynDefense, true);
       } else {
         ++raises_suppressed_;
-        if (adv_ != nullptr) adv_->OnRaiseSuppressed(sw_->id());
+        telemetry::Inc(raises_suppressed_ctr_);
       }
     } else {
       above_count_ = 0;
@@ -146,8 +153,16 @@ SynProxyPpm::SynProxyPpm(sim::Network* net, sim::SwitchNode* sw,
       protected_dsts_(std::move(protected_dsts)),
       config_(config),
       hard_(hardening),
-      stats_(recorder != nullptr ? &recorder->syn_stats() : nullptr),
-      adv_(recorder != nullptr ? &recorder->adv_stats() : nullptr),
+      ctr_{SwitchCounter(recorder, sw, "syn", "syns_seen"),
+           SwitchCounter(recorder, sw, "syn", "cookies_sent"),
+           SwitchCounter(recorder, sw, "syn", "handshakes_validated"),
+           SwitchCounter(recorder, sw, "syn", "invalid_cookies"),
+           SwitchCounter(recorder, sw, "syn", "filter_inserts"),
+           SwitchCounter(recorder, sw, "syn", "filter_insert_failures"),
+           SwitchCounter(recorder, sw, "syn", "filter_deletes"),
+           SwitchCounter(recorder, sw, "syn", "idle_evictions"),
+           SwitchCounter(recorder, sw, "syn", "policed_drops"),
+           SwitchCounter(recorder, sw, "adv", "admissions_policed")},
       filter_(config.filter_buckets, config.filter_fp_bits, config.filter_max_kicks,
               filter_salt != 0 ? filter_salt : dataplane::CuckooFilter::kDefaultSeed) {}
 
@@ -194,7 +209,7 @@ void SynProxyPpm::Process(sim::PacketContext& ctx) {
       const std::uint64_t key = ReverseFlowKey(pkt);
       if (filter_.Delete(key)) {
         last_seen_.erase(key);
-        if (stats_ != nullptr) stats_->OnFilterDelete(sw_->id());
+        telemetry::Inc(ctr_.filter_deletes);
       }
     }
     return;
@@ -209,16 +224,16 @@ void SynProxyPpm::Process(sim::PacketContext& ctx) {
         // connection and let it continue toward the server.
         if (filter_.Insert(key)) {
           last_seen_[key] = ctx.now;
-          if (stats_ != nullptr) stats_->OnFilterInsert(sw_->id());
-        } else if (stats_ != nullptr) {
-          stats_->OnFilterInsertFailure(sw_->id());
+          telemetry::Inc(ctr_.filter_inserts);
+        } else {
+          telemetry::Inc(ctr_.filter_insert_failures);
         }
         return;
       }
       // Raw SYN: answer statelessly with a cookie ISN and absorb it.  A
       // spoofed source never returns the cookie, so the flood costs this
       // switch zero state and the server nothing at all.
-      if (stats_ != nullptr) stats_->OnSyn(sw_->id());
+      telemetry::Inc(ctr_.syns_seen);
       sim::Packet synack;
       synack.kind = PacketKind::kSynAck;
       synack.flow = pkt.flow;
@@ -232,7 +247,7 @@ void SynProxyPpm::Process(sim::PacketContext& ctx) {
       ctx.emit.push_back({std::move(synack), kInvalidNode});
       ctx.consume = true;
       ++cookies_sent_;
-      if (stats_ != nullptr) stats_->OnCookieSent(sw_->id());
+      telemetry::Inc(ctr_.cookies_sent);
       return;
     }
     case PacketKind::kAck: {
@@ -250,34 +265,32 @@ void SynProxyPpm::Process(sim::PacketContext& ctx) {
           ++admissions_policed_;
           ++policed_drops_;
           ctx.drop = true;
-          if (stats_ != nullptr) stats_->OnPolicedDrop(sw_->id());
-          if (adv_ != nullptr) adv_->OnAdmissionPoliced(sw_->id());
+          telemetry::Inc(ctr_.policed_drops);
+          telemetry::Inc(ctr_.admissions_policed);
           return;
         }
         // The client proved it owns its source address.  Rewrite the ACK in
         // place into the SYN the server never saw, tagged so downstream
         // proxies adopt it and the server's edge learns the cookie.
         ++handshakes_validated_;
-        if (stats_ != nullptr) stats_->OnHandshakeValidated(sw_->id());
+        telemetry::Inc(ctr_.handshakes_validated);
         pkt.SetTag(sim::tag::kSynProxied, 1);
         pkt.SetTag(sim::tag::kSynCookie, pkt.ack);
         pkt.kind = PacketKind::kSyn;  // seq already carries the client ISN
         pkt.ack = 0;
         if (filter_.Insert(key)) {
           last_seen_[key] = ctx.now;
-          if (stats_ != nullptr) stats_->OnFilterInsert(sw_->id());
-        } else if (stats_ != nullptr) {
-          stats_->OnFilterInsertFailure(sw_->id());
+          telemetry::Inc(ctr_.filter_inserts);
+        } else {
+          telemetry::Inc(ctr_.filter_insert_failures);
         }
         return;
       }
       ++invalid_cookies_;
       ++policed_drops_;
       ctx.drop = true;
-      if (stats_ != nullptr) {
-        stats_->OnInvalidCookie(sw_->id());
-        stats_->OnPolicedDrop(sw_->id());
-      }
+      telemetry::Inc(ctr_.invalid_cookies);
+      telemetry::Inc(ctr_.policed_drops);
       return;
     }
     case PacketKind::kData:
@@ -290,14 +303,14 @@ void SynProxyPpm::Process(sim::PacketContext& ctx) {
         } else {
           // Teardown: forget the flow but forward the segment, so the
           // server (and every downstream tracker) tears down too.
-          if (filter_.Delete(key) && stats_ != nullptr) stats_->OnFilterDelete(sw_->id());
+          if (filter_.Delete(key)) telemetry::Inc(ctr_.filter_deletes);
           last_seen_.erase(key);
         }
         return;
       }
       ++policed_drops_;
       ctx.drop = true;
-      if (stats_ != nullptr) stats_->OnPolicedDrop(sw_->id());
+      telemetry::Inc(ctr_.policed_drops);
       return;
     }
     default:
@@ -325,7 +338,7 @@ void SynProxyPpm::SweepIdle() {
     if (now - it->second >= config_.idle_timeout) {
       if (filter_.Delete(it->first)) {
         ++idle_evictions_;
-        if (stats_ != nullptr) stats_->OnIdleEviction(sw_->id());
+        telemetry::Inc(ctr_.idle_evictions);
       }
       it = last_seen_.erase(it);
     } else {
@@ -361,7 +374,9 @@ SeqTranslatePpm::SeqTranslatePpm(
       host_edge_(std::move(host_edge)),
       protected_dsts_(std::move(protected_dsts)),
       config_(config),
-      stats_(recorder != nullptr ? &recorder->syn_stats() : nullptr) {}
+      translations_established_ctr_(
+          SwitchCounter(recorder, sw, "syn", "translations_established")),
+      seq_translated_ctr_(SwitchCounter(recorder, sw, "syn", "seq_translated")) {}
 
 void SeqTranslatePpm::StartTimers() {
   std::weak_ptr<Ppm> weak = weak_from_this();
@@ -398,7 +413,7 @@ void SeqTranslatePpm::Process(sim::PacketContext& ctx) {
       const std::uint64_t delta = it->second.cookie - pkt.seq;
       established_[key] = Established{delta, ctx.now};
       ++translations_established_;
-      if (stats_ != nullptr) stats_->OnTranslationEstablished(sw_->id());
+      telemetry::Inc(translations_established_ctr_);
       sim::Packet ack;
       ack.kind = PacketKind::kAck;
       ack.flow = pkt.flow;
@@ -421,7 +436,7 @@ void SeqTranslatePpm::Process(sim::PacketContext& ctx) {
       pkt.seq += it->second.delta;
       it->second.last_seen = ctx.now;
       ++seq_translated_;
-      if (stats_ != nullptr) stats_->OnSeqTranslated(sw_->id());
+      telemetry::Inc(seq_translated_ctr_);
       if (pkt.kind == PacketKind::kRst) established_.erase(it);
     }
     return;
@@ -444,7 +459,7 @@ void SeqTranslatePpm::Process(sim::PacketContext& ctx) {
       pkt.ack -= it->second.delta;
       it->second.last_seen = ctx.now;
       ++seq_translated_;
-      if (stats_ != nullptr) stats_->OnSeqTranslated(sw_->id());
+      telemetry::Inc(seq_translated_ctr_);
       return;
     }
     case PacketKind::kRst: {

@@ -65,10 +65,10 @@ std::uint64_t SynCookie(std::uint64_t secret, Address src, Address dst,
 /// Always-on SYN-rate alarm source for the split proxy.
 class SynRateDetectorPpm : public dataplane::Ppm {
  public:
-  /// `recorder` (optional) receives AdvStats evidence when raise
-  /// persistence suppresses a single-window spike — the counter
-  /// bench_adversarial reads to show the threshold-straddling pulser was
-  /// absorbed by hysteresis rather than never seen.
+  /// `recorder` (optional) counts raises that persistence suppressed in
+  /// "switch.<sw>.adv.raises_suppressed" — the evidence bench_adversarial
+  /// reads to show the threshold-straddling pulser was absorbed by
+  /// hysteresis rather than never seen.
   SynRateDetectorPpm(sim::Network* net, sim::SwitchNode* sw,
                      std::vector<Address> protected_dsts, SynProxyConfig config,
                      HardeningConfig hardening, AlarmFn alarm,
@@ -99,7 +99,7 @@ class SynRateDetectorPpm : public dataplane::Ppm {
   SynProxyConfig config_;
   HardeningConfig hard_;
   AlarmFn alarm_;
-  telemetry::AdvStats* adv_ = nullptr;
+  telemetry::Counter* raises_suppressed_ctr_;  // nullptr without a recorder
 
   std::uint64_t window_syns_ = 0;
   double last_rate_ = 0.0;
@@ -165,8 +165,21 @@ class SynProxyPpm : public dataplane::Ppm {
   std::vector<Address> protected_dsts_;
   SynProxyConfig config_;
   HardeningConfig hard_;
-  telemetry::SynStats* stats_ = nullptr;
-  telemetry::AdvStats* adv_ = nullptr;
+  // Registry counters "switch.<sw>.syn.<name>" (admissions_policed:
+  // "switch.<sw>.adv.<name>"), resolved at construction; all nullptr
+  // without a recorder.
+  struct Counters {
+    telemetry::Counter* syns_seen;
+    telemetry::Counter* cookies_sent;
+    telemetry::Counter* handshakes_validated;
+    telemetry::Counter* invalid_cookies;
+    telemetry::Counter* filter_inserts;
+    telemetry::Counter* filter_insert_failures;
+    telemetry::Counter* filter_deletes;
+    telemetry::Counter* idle_evictions;
+    telemetry::Counter* policed_drops;
+    telemetry::Counter* admissions_policed;
+  } ctr_;
 
   dataplane::CuckooFilter filter_;
   // Last-seen times for tracked flows, keyed by the forward FlowKey.  An
@@ -225,7 +238,9 @@ class SeqTranslatePpm : public dataplane::Ppm {
   std::shared_ptr<const std::unordered_map<Address, NodeId>> host_edge_;
   std::vector<Address> protected_dsts_;
   SynProxyConfig config_;
-  telemetry::SynStats* stats_ = nullptr;
+  // "switch.<sw>.syn.<name>" counters; nullptr without a recorder.
+  telemetry::Counter* translations_established_ctr_;
+  telemetry::Counter* seq_translated_ctr_;
 
   // Both tables are keyed by the forward (client -> server) FlowKey and
   // ordered for replay-deterministic sweeps.

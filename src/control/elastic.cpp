@@ -10,6 +10,16 @@
 
 namespace fastflex::control {
 
+namespace {
+
+/// "elastic.<name>" in `rec`'s registry (nullptr when detached).
+telemetry::Counter* LoopCounter(telemetry::Recorder* rec, const char* name) {
+  return rec != nullptr ? &rec->metrics().GetCounter(telemetry::Join("elastic", name))
+                        : nullptr;
+}
+
+}  // namespace
+
 std::vector<ElasticRule> ElasticPolicy::DefaultRules() {
   return {
       // Rolling-LFA pressure pulls in the illusion pair the default set may
@@ -25,7 +35,18 @@ std::vector<ElasticRule> ElasticPolicy::DefaultRules() {
 ElasticOrchestrator::ElasticOrchestrator(sim::Network* net, FastFlexOrchestrator* orch,
                                          ElasticPolicy policy,
                                          telemetry::Recorder* recorder)
-    : net_(net), orch_(orch), policy_(std::move(policy)), recorder_(recorder) {}
+    : net_(net),
+      orch_(orch),
+      policy_(std::move(policy)),
+      recorder_(recorder),
+      ctr_{LoopCounter(recorder, "epochs"),
+           LoopCounter(recorder, "replans"),
+           LoopCounter(recorder, "scale_ups"),
+           LoopCounter(recorder, "sheds"),
+           LoopCounter(recorder, "teardowns"),
+           LoopCounter(recorder, "repurposes"),
+           LoopCounter(recorder, "install_rejects"),
+           LoopCounter(recorder, "over_budget")} {}
 
 void ElasticOrchestrator::Start() {
   if (running_) return;
@@ -50,7 +71,7 @@ void ElasticOrchestrator::Start() {
 void ElasticOrchestrator::Tick() {
   if (!running_) return;
   ++epochs_;
-  if (auto* s = stats()) s->OnEpoch();
+  telemetry::Inc(ctr_.epochs);
   AuditBudgets();
 
   bool mix_changed = false;
@@ -91,7 +112,7 @@ void ElasticOrchestrator::AuditBudgets() {
   for (NodeId sw : switches_) {
     const dataplane::Pipeline* p = orch_->pipeline(sw);
     if (p != nullptr && !p->used().FitsIn(p->capacity())) {
-      if (auto* s = stats()) s->OnOverBudget();
+      telemetry::Inc(ctr_.over_budget);
       FF_LOG(kError) << "elastic: switch " << sw << " over budget (used "
                      << p->used().ToString() << ", capacity "
                      << p->capacity().ToString() << ")";
@@ -124,13 +145,13 @@ void ElasticOrchestrator::ScaleUp(const ElasticRule& rule, std::uint32_t region)
         if (orch_->BoosterInstalled(sw, b)) continue;
         if (InstallWithShedding(sw, b, *rp)) {
           loop_installed_[sw].insert(b);
-          if (auto* s = stats()) s->OnScaleUp(net_->Now(), sw, b);
+          Decide(ctr_.scale_ups, "scale_up", sw, b);
         }
       }
     };
     plan.done = [this, sw](const runtime::RepurposeReport&) {
       inflight_.erase(sw);
-      if (auto* s = stats()) s->OnRepurpose();
+      telemetry::Inc(ctr_.repurposes);
     };
     orch_->scaling().Repurpose(std::move(plan));
   }
@@ -159,14 +180,14 @@ bool ElasticOrchestrator::TearDown(const ElasticRule& rule, std::uint32_t region
     plan.reprogram = [this, sw, present] {
       for (const auto& b : present) {
         if (orch_->UninstallBooster(sw, b)) {
-          if (auto* s = stats()) s->OnTeardown(net_->Now(), sw, b);
+          Decide(ctr_.teardowns, "teardown", sw, b);
         }
         loop_installed_[sw].erase(b);
       }
     };
     plan.done = [this, sw](const runtime::RepurposeReport&) {
       inflight_.erase(sw);
-      if (auto* s = stats()) s->OnRepurpose();
+      telemetry::Inc(ctr_.repurposes);
     };
     orch_->scaling().Repurpose(std::move(plan));
   }
@@ -196,13 +217,13 @@ bool ElasticOrchestrator::InstallWithShedding(NodeId sw, const std::string& boos
       victim_value = def->value;
     }
     if (victim.empty()) {
-      if (auto* s = stats()) s->OnInstallReject(net_->Now(), sw, booster);
+      Decide(ctr_.install_rejects, "reject", sw, booster);
       rejected_[sw].insert(booster);
       return false;
     }
     orch_->UninstallBooster(sw, victim);
     loop_installed_[sw].erase(victim);
-    if (auto* s = stats()) s->OnShed(net_->Now(), sw, victim);
+    Decide(ctr_.sheds, "shed", sw, victim);
     if (orch_->InstallBooster(sw, booster)) return true;
   }
 }
@@ -227,7 +248,15 @@ void ElasticOrchestrator::Replan() {
       merged, policy_.placement.switch_capacity - policy_.placement.routing_reserve);
   replan_ = scheduler::PlaceClusters(net_->topology(), clusters,
                                      orch_->te_solution().paths, policy_.placement);
-  if (auto* s = stats()) s->OnReplan();
+  telemetry::Inc(ctr_.replans);
+}
+
+void ElasticOrchestrator::Decide(telemetry::Counter* counter, const char* action, NodeId sw,
+                                 const std::string& booster) {
+  if (recorder_ == nullptr) return;
+  counter->Inc();
+  recorder_->trace().Event(net_->Now(), telemetry::Join("elastic", action, booster),
+                           {{"sw", sw}});
 }
 
 bool ElasticOrchestrator::RegionScaledUp(std::size_t rule_idx,

@@ -27,6 +27,13 @@
 // Determinism: the tick runs in the event loop (a coordinator global under
 // the sharded engine), switches and regions are visited in sorted order,
 // and every decision reads only sim-state — reruns are byte-identical.
+//
+// Telemetry: "elastic.<name>" registry counters (epochs, replans,
+// scale_ups, sheds, teardowns, repurposes, install_rejects, over_budget),
+// plus one trace point event "elastic.<action>.<booster>" {sw} per
+// decision, action one of scale_up / shed / teardown / reject.  Only
+// coordinator work writes them, so they need no shard shadow; the sharded
+// merge replays the events in canonical order.
 #pragma once
 
 #include <cstdint>
@@ -82,7 +89,7 @@ struct ElasticPolicy {
 class ElasticOrchestrator {
  public:
   /// `orch` must be Deploy()ed already and outlive this object; `recorder`
-  /// (nullable) receives the ElasticStats decision log.
+  /// (nullable) receives the decision counters and events.
   ElasticOrchestrator(sim::Network* net, FastFlexOrchestrator* orch,
                       ElasticPolicy policy, telemetry::Recorder* recorder = nullptr);
 
@@ -116,15 +123,26 @@ class ElasticOrchestrator {
   bool InstallWithShedding(NodeId sw, const std::string& booster,
                            const ElasticRule& rule);
   void Replan();
-
-  telemetry::ElasticStats* stats() {
-    return recorder_ != nullptr ? &recorder_->elastic_stats() : nullptr;
-  }
+  /// Counts one decision and logs it as "elastic.<action>.<booster>" {sw}.
+  void Decide(telemetry::Counter* counter, const char* action, NodeId sw,
+              const std::string& booster);
 
   sim::Network* net_;
   FastFlexOrchestrator* orch_;
   ElasticPolicy policy_;
   telemetry::Recorder* recorder_;
+  // "elastic.<name>" counters, resolved at construction; all nullptr
+  // without a recorder.
+  struct Counters {
+    telemetry::Counter* epochs;
+    telemetry::Counter* replans;
+    telemetry::Counter* scale_ups;
+    telemetry::Counter* sheds;
+    telemetry::Counter* teardowns;
+    telemetry::Counter* repurposes;
+    telemetry::Counter* install_rejects;
+    telemetry::Counter* over_budget;
+  } ctr_;
 
   bool running_ = false;
   std::uint64_t epochs_ = 0;

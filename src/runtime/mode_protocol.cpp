@@ -268,6 +268,15 @@ void ModeProtocolPpm::AnnounceReconfig(bool going) {
 }
 
 
+void ModeProtocolPpm::SetTelemetry(telemetry::Recorder* recorder) {
+  telem_ = recorder;
+  auth_rejects_ctr_ =
+      recorder != nullptr
+          ? &recorder->metrics().GetCounter(
+                telemetry::Join("switch", sw_->id(), "adv", "mode_auth_rejects"))
+          : nullptr;
+}
+
 void ModeProtocolPpm::Process(sim::PacketContext& ctx) {
   if (ctx.pkt.kind != sim::PacketKind::kProbe || ctx.pkt.probe == nullptr) return;
   // Scoped after the non-probe early-out so only actual protocol work is
@@ -287,8 +296,8 @@ void ModeProtocolPpm::Process(sim::PacketContext& ctx) {
       p.auth != ProbeAuthTag(config_.auth_key, p)) {
     ctx.consume = true;
     ++auth_rejects_;
+    telemetry::Inc(auth_rejects_ctr_);
     if (telem_ != nullptr) {
-      telem_->adv_stats().OnModeAuthReject(sw_->id());
       telem_->flight().Record(net_->Now(), telemetry::FlightKind::kAuthReject, sw_->id(),
                               p.origin, static_cast<std::int64_t>(p.epoch));
     }

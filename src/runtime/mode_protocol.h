@@ -125,8 +125,10 @@ class ModeProtocolPpm : public dataplane::Ppm {
 
   /// Attaches a recorder: every applied mode flip emits a `mode_change`
   /// trace event carrying (switch, origin, epoch, bit, on); every local
-  /// alarm emits an `alarm` event.  One branch per event when detached.
-  void SetTelemetry(telemetry::Recorder* recorder) { telem_ = recorder; }
+  /// alarm emits an `alarm` event; every probe the flood authenticator
+  /// rejects bumps "switch.<sw>.adv.mode_auth_rejects".  One branch per
+  /// event when detached.  Call at deploy time, before the run starts.
+  void SetTelemetry(telemetry::Recorder* recorder);
 
  private:
   void ApplyBits(NodeId origin, std::uint64_t epoch, std::uint32_t mode_bits,
@@ -158,6 +160,7 @@ class ModeProtocolPpm : public dataplane::Ppm {
   std::uint64_t auth_rejects_ = 0;
   SimTime last_mode_change_ = 0;
   telemetry::Recorder* telem_ = nullptr;
+  telemetry::Counter* auth_rejects_ctr_ = nullptr;
 };
 
 }  // namespace fastflex::runtime

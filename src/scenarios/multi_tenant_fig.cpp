@@ -108,7 +108,13 @@ MultiTenantResult RunMultiTenantFig(const MultiTenantOptions& options) {
 
   sim::Network net(topo, options.seed);
   net.EnableLinkSampling(10 * kMillisecond);
-  if (options.recorder != nullptr) net.SetTelemetry(options.recorder);
+  // The elastic loop always logs into a recorder: a local one when the
+  // caller did not instrument the run.  The network carries it too, so the
+  // sharded engine's final merge replays the loop's decision events into it.
+  telemetry::Recorder local_rec;
+  telemetry::Recorder* rec =
+      options.recorder != nullptr ? options.recorder : &local_rec;
+  net.SetTelemetry(rec);
 
   // Shard labels follow the ring (dense 1..R); tenant extras ride with
   // their region.
@@ -172,11 +178,6 @@ MultiTenantResult RunMultiTenantFig(const MultiTenantOptions& options) {
   orch.Deploy(demands);
 
   // ---- The elastic control loop (the experiment's subject) ----
-  // A local recorder keeps the decision log even when the caller did not
-  // instrument the run; the artifact-bound recorder wins when present.
-  telemetry::Recorder local_rec;
-  telemetry::Recorder* rec =
-      options.recorder != nullptr ? options.recorder : &local_rec;
   control::ElasticPolicy policy = options.policy;
   policy.placement.switch_capacity = TightSwitchCapacity();
   std::unique_ptr<control::ElasticOrchestrator> elastic;
@@ -339,24 +340,21 @@ MultiTenantResult RunMultiTenantFig(const MultiTenantOptions& options) {
     }
   }
 
-  const auto& es = rec->elastic_stats();
-  result.epochs = es.totals().epochs;
-  result.replans = es.totals().replans;
-  result.scale_ups = es.totals().scale_ups;
-  result.sheds = es.totals().sheds;
-  result.teardowns = es.totals().teardowns;
-  result.install_rejects = es.totals().install_rejects;
-  result.over_budget = es.totals().over_budget;
-  for (const auto& e : es.events()) {
-    if (e.action == telemetry::ElasticStats::Action::kScaleUp &&
-        result.first_scale_up_at == 0) {
-      result.first_scale_up_at = e.t;
-    }
-    if (e.action == telemetry::ElasticStats::Action::kTeardown) {
-      result.last_teardown_at = e.t;
-    }
-  }
   if (elastic != nullptr) {
+    auto& m = rec->metrics();
+    result.epochs = m.GetCounter("elastic.epochs").value();
+    result.replans = m.GetCounter("elastic.replans").value();
+    result.scale_ups = m.GetCounter("elastic.scale_ups").value();
+    result.sheds = m.GetCounter("elastic.sheds").value();
+    result.teardowns = m.GetCounter("elastic.teardowns").value();
+    result.install_rejects = m.GetCounter("elastic.install_rejects").value();
+    result.over_budget = m.GetCounter("elastic.over_budget").value();
+    for (const auto& e : rec->trace().events()) {
+      if (e.name.starts_with("elastic.scale_up.") && result.first_scale_up_at == 0) {
+        result.first_scale_up_at = e.t;
+      }
+      if (e.name.starts_with("elastic.teardown.")) result.last_teardown_at = e.t;
+    }
     for (const auto& [sw, names] : elastic->loop_installed()) {
       if (!names.empty()) result.retired = false;
     }
@@ -376,9 +374,9 @@ MultiTenantResult RunMultiTenantFig(const MultiTenantOptions& options) {
     m.GetCounter("mt.cookies_sent").Set(result.cookies_sent);
     m.GetGauge("mt.lfa_mode_frac_peak").Set(result.lfa_mode_frac_peak);
     m.GetGauge("mt.syn_mode_frac_peak").Set(result.syn_mode_frac_peak);
-    // The run is over; detach so the recorder cannot dangle past `net`.
-    net.SetTelemetry(nullptr);
   }
+  // The run is over; detach so the recorder cannot dangle past `net`.
+  net.SetTelemetry(nullptr);
   return result;
 }
 

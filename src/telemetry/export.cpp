@@ -85,7 +85,7 @@ std::string ToJson(const Recorder& rec, const ExportOptions& opts) {
   // safe because profiling never feeds back into simulation state).
   Profiler* prof = const_cast<Recorder&>(rec).prof().enabled_self();
   const auto export_t0 = std::chrono::steady_clock::now();
-  std::string out = "{\"schema\":\"fastflex.telemetry.v1\",";
+  std::string out = "{\"schema\":\"fastflex.telemetry.v2\",";
   {
   // Scope over every section but prof, so the export tree node never times
   // (and the prof section never describes) its own serialization.
@@ -144,27 +144,6 @@ std::string ToJson(const Recorder& rec, const ExportOptions& opts) {
   if (rec.fault_timeline().HasData()) {
     out += ",\"fault\":";
     out += rec.fault_timeline().ToJsonSection();
-  }
-
-  // SYN-defense counters: present only when the split proxy processed
-  // traffic, so runs without it keep their pre-SYN artifact bytes.
-  if (rec.syn_stats().HasData()) {
-    out += ",\"syn\":";
-    out += rec.syn_stats().ToJsonSection();
-  }
-
-  // Adversarial-hardening counters: present only when a hardening layer
-  // (mode-flood auth, admission policing, raise persistence) engaged.
-  if (rec.adv_stats().HasData()) {
-    out += ",\"adv\":";
-    out += rec.adv_stats().ToJsonSection();
-  }
-
-  // Elastic-orchestration decisions: present only when the control loop
-  // ran, so statically deployed runs keep their pre-elastic artifact bytes.
-  if (rec.elastic_stats().HasData()) {
-    out += ",\"elastic\":";
-    out += rec.elastic_stats().ToJsonSection();
   }
 
   // Flight-recorder ring: integer fields only, so the section is

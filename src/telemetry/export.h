@@ -1,11 +1,18 @@
 // JSON and CSV serialization of a Recorder.
 //
-// The JSON artifact ("fastflex.telemetry.v1") is the machine-readable
+// The JSON artifact ("fastflex.telemetry.v2") is the machine-readable
 // output of every bench: metric families keyed by name in lexicographic
-// order, then the trace (events and spans) in record order.  All numbers
-// are printed with round-trip precision, so two replays of the same seed
-// produce byte-identical files — the replay regression test depends on
-// this.
+// order, the optional int/fault/flight sections, then the trace (events
+// and spans) in record order.  All numbers are printed with round-trip
+// precision, so two replays of the same seed produce byte-identical files
+// — the replay regression test depends on this.
+//
+// Defense evidence has no section of its own: it is counters
+// "switch.<sw>.syn.<name>", "switch.<sw>.adv.<name>" and "elastic.<name>",
+// plus one trace point event "elastic.<action>.<booster>" {sw} per
+// control-loop decision (EXPERIMENTS.md maps each v1 section field to its
+// v2 key).  Those counters are single-writer (telemetry.h), so they need
+// no shard shadow and export identically for any shard count.
 //
 // CSV exporters are for spreadsheet-style diffing of two runs: scalars as
 // `kind,name,value...` rows, series as `name,t_seconds,value` rows, trace

@@ -1,5 +1,5 @@
 // FaultTimeline: the fault/failover/reconvergence evidence channel of the
-// "fastflex.telemetry.v1" artifact.
+// "fastflex.telemetry.v2" artifact.
 //
 // The fault injector records what it did to the network (links killed,
 // switches crashed, control channels degraded); the survival machinery

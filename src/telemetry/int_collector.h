@@ -13,7 +13,7 @@
 //
 // Everything exported is integer-valued or derived deterministically from
 // integers, and every exported map is ordered (std::map), so the `int`
-// section of the fastflex.telemetry.v1 JSON is byte-identical across
+// section of the fastflex.telemetry.v2 JSON is byte-identical across
 // same-seed replays — the same discipline as the rest of the exporter.
 #pragma once
 

@@ -33,6 +33,12 @@ class Counter {
   std::uint64_t value_ = 0;
 };
 
+/// One increment through a cached counter pointer that is nullptr when no
+/// recorder is attached: one branch when detached.
+inline void Inc(Counter* c) {
+  if (c != nullptr) c->Inc();
+}
+
 /// Point-in-time scalar (utilization, occupancy, a result figure).
 class Gauge {
  public:

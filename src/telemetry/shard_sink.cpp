@@ -14,14 +14,6 @@ ShardSink* CurrentShardSink() { return g_shard_sink; }
 
 void SetCurrentShardSink(ShardSink* sink) { g_shard_sink = sink; }
 
-SynStats* CurrentSynShadow() {
-  return g_shard_sink != nullptr ? &g_shard_sink->syn : nullptr;
-}
-
-AdvStats* CurrentAdvShadow() {
-  return g_shard_sink != nullptr ? &g_shard_sink->adv : nullptr;
-}
-
 void ShardSinkFlight(ShardSink& sink, const FlightRecord& rec) { sink.PushFlight(rec); }
 
 void ShardSinkDumpRequest(ShardSink& sink, const std::string& reason, SimTime t) {
@@ -64,8 +56,6 @@ void MergeShardSinks(const std::vector<const ShardSink*>& sinks, Recorder& rec) 
     faults.insert(faults.end(), s->fault.begin(), s->fault.end());
     traces.insert(traces.end(), s->trace_events.begin(), s->trace_events.end());
     for (const auto& j : s->journeys) journeys.push_back(&j);
-    rec.syn_stats().MergeFrom(s->syn);
-    rec.adv_stats().MergeFrom(s->adv);
   }
 
   std::stable_sort(faults.begin(), faults.end(),

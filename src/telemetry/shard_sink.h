@@ -3,7 +3,7 @@
 //
 // The sharded engine executes shards on worker threads, so telemetry
 // writers (flight recorder, fault timeline, trace events, INT journeys,
-// SYN counters, network drop/retransmit hooks) would otherwise race on the
+// network drop/retransmit hooks) would otherwise race on the
 // Recorder — and even race-free, their interleaving would depend on thread
 // timing.  Instead every worker thread gets a private ShardSink installed
 // as a thread_local; the recording classes check it first and divert their
@@ -21,9 +21,14 @@
 // stream — is independent of the shard count and of thread timing.  That
 // is the whole determinism story: capture per thread, replay canonically.
 //
-// Counter-like data (drop/retransmit totals, 100 ms time-series bins, SYN
-// counters) needs no ordering at all — integer sums are associative — so
-// those merge by plain addition.
+// Counter-like data (drop/retransmit totals, 100 ms time-series bins) needs
+// no ordering at all — integer sums are associative — so those merge by
+// plain addition.  Those are network-wide, written by every shard, hence
+// shadowed here.  A counter scoped to one switch ("switch.<sw>.syn.*",
+// "switch.<sw>.adv.*") or written only by coordinator work ("elastic.*")
+// needs no shadow: it has one writer at a time — the switch's owner shard,
+// or the coordinator while every shard is parked at a barrier — so the
+// owner resolves a plain registry Counter up front and bumps it in place.
 #pragma once
 
 #include <cstdint>
@@ -31,11 +36,9 @@
 #include <string>
 #include <vector>
 
-#include "telemetry/adv_stats.h"
 #include "telemetry/fault_timeline.h"
 #include "telemetry/flight_recorder.h"
 #include "telemetry/int_collector.h"
-#include "telemetry/syn_stats.h"
 #include "telemetry/trace.h"
 #include "util/stats.h"
 #include "util/types.h"
@@ -73,8 +76,6 @@ struct ShardSink {
   std::uint64_t deliveries = 0;  ///< channel deliveries executed by this worker
   TimeSeries drop_series{100 * kMillisecond};
   TimeSeries retx_series{100 * kMillisecond};
-  SynStats syn;
-  AdvStats adv;
 
   // ---- Order-sensitive streams (tagged, replayed canonically) ----
   struct CwndSample {
@@ -156,9 +157,9 @@ inline Profiler* ResolveProf(Profiler* fallback) {
 void MergeShardFlight(const std::vector<const ShardSink*>& sinks, FlightRecorder& flight);
 
 /// Full one-shot merge into the recorder: flight ring rebuild plus
-/// canonical replay of fault records, trace events, INT journeys, cwnd is
-/// NOT here (the Network owns that hook — see Network::MergeSinkTelemetry)
-/// and SYN counter addition.  Call exactly once, with no sink installed.
+/// canonical replay of fault records, trace events and INT journeys (cwnd
+/// is NOT here: the Network owns that hook — see
+/// Network::MergeSinkTelemetry).  Call exactly once, with no sink installed.
 void MergeShardSinks(const std::vector<const ShardSink*>& sinks, Recorder& rec);
 
 }  // namespace fastflex::telemetry

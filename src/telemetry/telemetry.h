@@ -6,16 +6,24 @@
 // discipline FF_LOG applies to logging) — hot layers additionally cache
 // the metric references they update per packet so the enabled path does no
 // name lookups either.
+//
+// Defense evidence (SYN-proxy cookies, mode-flood auth rejects, elastic
+// scale-ups and sheds) is plain registry counters under "switch.<sw>.syn.*",
+// "switch.<sw>.adv.*" and "elastic.*".  Their owners resolve them once,
+// while the run is still single-threaded (scenario build, or an elastic
+// install at a coordinator barrier: get-or-create mutates the registry),
+// keep a Counter* that is nullptr when detached, and bump through Inc().
+// Under the sharded engine such a counter needs no shard shadow: each has
+// one writer at a time — its switch's owner shard, or the coordinator
+// while every shard is parked — and integer increments commute, so its
+// value is the same for any shard count.
 #pragma once
 
-#include "telemetry/adv_stats.h"
-#include "telemetry/elastic_stats.h"
 #include "telemetry/fault_timeline.h"
 #include "telemetry/flight_recorder.h"
 #include "telemetry/int_collector.h"
 #include "telemetry/metrics.h"
 #include "telemetry/prof.h"
-#include "telemetry/syn_stats.h"
 #include "telemetry/trace.h"
 
 namespace fastflex::telemetry {
@@ -39,24 +47,6 @@ class Recorder {
   FaultTimeline& fault_timeline() { return fault_; }
   const FaultTimeline& fault_timeline() const { return fault_; }
 
-  /// SYN-defense counters (fed by the split-proxy PPMs).  Exported as the
-  /// "syn" section of the JSON artifact when it holds any data.
-  SynStats& syn_stats() { return syn_; }
-  const SynStats& syn_stats() const { return syn_; }
-
-  /// Adversarial-hardening counters (fed by the mode-flood authenticator,
-  /// the SYN-proxy admission policer, and detector raise-persistence).
-  /// Exported as the "adv" section of the JSON artifact when it holds any
-  /// data.
-  AdvStats& adv_stats() { return adv_; }
-  const AdvStats& adv_stats() const { return adv_; }
-
-  /// Elastic-orchestration decisions (fed by control::ElasticOrchestrator's
-  /// epoch loop: scale-ups, sheds, teardowns, over-budget audits).  Exported
-  /// as the "elastic" section of the JSON artifact when it holds any data.
-  ElasticStats& elastic_stats() { return elastic_; }
-  const ElasticStats& elastic_stats() const { return elastic_; }
-
   /// Self-profiler (sampled hot-path timers, region event density, queue
   /// occupancy).  Off by default — call prof().Enable() BEFORE attaching
   /// the recorder to a network/pipeline (hook sites cache the enabled
@@ -76,9 +66,6 @@ class Recorder {
   Tracer trace_;
   IntCollector int_;
   FaultTimeline fault_;
-  SynStats syn_;
-  AdvStats adv_;
-  ElasticStats elastic_;
   Profiler prof_;
   FlightRecorder flight_;
 };

@@ -20,7 +20,16 @@ using scenarios::BuildHotnetsTopology;
 using scenarios::HotnetsTopology;
 using scenarios::SpreadDecoyRoutes;
 using scenarios::StartNormalTraffic;
-using telemetry::ElasticStats;
+
+// Sum of every registry counter named "<prefix>...<suffix>" (0 when none).
+std::uint64_t SumCounters(const telemetry::Recorder& rec, const std::string& prefix,
+                          const std::string& suffix) {
+  std::uint64_t sum = 0;
+  for (const auto& [name, c] : rec.metrics().counters()) {
+    if (name.starts_with(prefix) && name.ends_with(suffix)) sum += c.value();
+  }
+  return sum;
+}
 
 // The four-booster default program (13.0 stages with shared components)
 // fits a 16-stage budget; syn_mitigation (+3.5) does not until the 1.5-stage
@@ -72,6 +81,11 @@ struct Deployed {
                                 dataplane::mode::kSynDefense, activate);
   }
 
+  /// The loop's "elastic.<name>" counter.
+  std::uint64_t Count(const std::string& name) const {
+    return rec.metrics().counters().at("elastic." + name).value();
+  }
+
   std::vector<NodeId> Switches() const {
     std::vector<NodeId> out;
     for (const auto& n : net->topology().nodes()) {
@@ -95,13 +109,12 @@ TEST(ElasticTest, ScaleUpOnAlarmPressure) {
     EXPECT_TRUE(d.orch->BoosterInstalled(sw, "syn_mitigation")) << sw;
     EXPECT_FALSE(d.elastic->loop_installed().at(sw).empty());
   }
-  const auto& totals = d.rec.elastic_stats().totals();
-  EXPECT_EQ(totals.scale_ups, d.Switches().size());
-  EXPECT_GT(totals.epochs, 0u);
-  EXPECT_GT(totals.repurposes, 0u);
-  EXPECT_GT(totals.replans, 0u);
+  EXPECT_EQ(d.Count("scale_ups"), d.Switches().size());
+  EXPECT_GT(d.Count("epochs"), 0u);
+  EXPECT_GT(d.Count("repurposes"), 0u);
+  EXPECT_GT(d.Count("replans"), 0u);
   // Every install paid the repurposing sequence, never a free flip.
-  EXPECT_LE(totals.scale_ups, totals.repurposes * 1);
+  EXPECT_LE(d.Count("scale_ups"), d.Count("repurposes") * 1);
 }
 
 TEST(ElasticTest, ShedsLowestValueBoosterFirstAndStaysInBudget) {
@@ -109,17 +122,19 @@ TEST(ElasticTest, ShedsLowestValueBoosterFirstAndStaysInBudget) {
   d.RaiseSyn(d.h.a, true);
   d.net->RunUntil(2 * kSecond);
 
-  const auto& stats = d.rec.elastic_stats();
-  EXPECT_EQ(stats.totals().sheds, d.Switches().size());
-  EXPECT_EQ(stats.totals().install_rejects, 0u);
-  EXPECT_EQ(stats.totals().over_budget, 0u);
-  for (const auto& e : stats.events()) {
-    if (e.action == ElasticStats::Action::kShed) {
+  EXPECT_EQ(d.Count("sheds"), d.Switches().size());
+  EXPECT_EQ(d.Count("install_rejects"), 0u);
+  EXPECT_EQ(d.Count("over_budget"), 0u);
+  std::size_t shed_events = 0;
+  for (const auto& e : d.rec.trace().events()) {
+    if (e.name.starts_with("elastic.shed.")) {
       // hop_count_filter (value 25) is the cheapest resident booster; the
       // never-shed floor protects the detectors and reroute.
-      EXPECT_EQ(e.booster, "hop_count_filter");
+      EXPECT_EQ(e.name, "elastic.shed.hop_count_filter");
+      ++shed_events;
     }
   }
+  EXPECT_EQ(shed_events, d.Count("sheds"));
   for (NodeId sw : d.Switches()) {
     EXPECT_FALSE(d.orch->BoosterInstalled(sw, "hop_count_filter")) << sw;
     EXPECT_TRUE(d.orch->BoosterInstalled(sw, "lfa_detection")) << sw;
@@ -143,15 +158,14 @@ TEST(ElasticTest, QuietEpochsTearDownToDefaultProgram) {
     auto it = d.elastic->loop_installed().find(sw);
     if (it != d.elastic->loop_installed().end()) EXPECT_TRUE(it->second.empty());
   }
-  const auto& totals = d.rec.elastic_stats().totals();
-  EXPECT_EQ(totals.teardowns, totals.scale_ups);
-  EXPECT_EQ(totals.over_budget, 0u);
+  EXPECT_EQ(d.Count("teardowns"), d.Count("scale_ups"));
+  EXPECT_EQ(d.Count("over_budget"), 0u);
 
   // A second flare-up scales right back up: teardown cleared the slate.
   d.RaiseSyn(d.h.a, true);
   d.net->RunUntil(10 * kSecond);
   EXPECT_TRUE(d.elastic->RegionScaledUp(1, 0));
-  EXPECT_EQ(d.rec.elastic_stats().totals().scale_ups, 2 * d.Switches().size());
+  EXPECT_EQ(d.Count("scale_ups"), 2 * d.Switches().size());
 }
 
 TEST(ElasticTest, RejectsWhenNothingSheddableRemains) {
@@ -162,10 +176,9 @@ TEST(ElasticTest, RejectsWhenNothingSheddableRemains) {
   d.RaiseSyn(d.h.a, true);
   d.net->RunUntil(2 * kSecond);
 
-  const auto& stats = d.rec.elastic_stats();
-  EXPECT_EQ(stats.totals().install_rejects, d.Switches().size());
-  EXPECT_EQ(stats.totals().scale_ups, 0u);
-  EXPECT_EQ(stats.totals().over_budget, 0u);
+  EXPECT_EQ(d.Count("install_rejects"), d.Switches().size());
+  EXPECT_EQ(d.Count("scale_ups"), 0u);
+  EXPECT_EQ(d.Count("over_budget"), 0u);
   for (NodeId sw : d.Switches()) {
     EXPECT_FALSE(d.orch->BoosterInstalled(sw, "syn_mitigation")) << sw;
     const dataplane::Pipeline* pipe = d.orch->pipeline(sw);
@@ -173,10 +186,10 @@ TEST(ElasticTest, RejectsWhenNothingSheddableRemains) {
   }
   // Rejected installs are not retried while the pressure persists: no new
   // repurposing blackouts epoch after epoch.
-  const std::uint64_t repurposes = stats.totals().repurposes;
+  const std::uint64_t repurposes = d.Count("repurposes");
   d.net->RunUntil(4 * kSecond);
-  EXPECT_EQ(stats.totals().repurposes, repurposes);
-  EXPECT_EQ(stats.totals().install_rejects, d.Switches().size());
+  EXPECT_EQ(d.Count("repurposes"), repurposes);
+  EXPECT_EQ(d.Count("install_rejects"), d.Switches().size());
 }
 
 TEST(ElasticTest, ScaleUpScopedToPressuredRegion) {
@@ -192,7 +205,7 @@ TEST(ElasticTest, ScaleUpScopedToPressuredRegion) {
   for (NodeId sw : {d.h.m1, d.h.m2, d.h.m3, d.h.r, d.h.rv, d.h.rd}) {
     EXPECT_FALSE(d.orch->BoosterInstalled(sw, "syn_mitigation")) << sw;
   }
-  EXPECT_EQ(d.rec.elastic_stats().totals().scale_ups, 3u);
+  EXPECT_EQ(d.Count("scale_ups"), 3u);
 }
 
 TEST(ElasticTest, ElasticTelemetryReplayIsByteIdentical) {
@@ -201,13 +214,14 @@ TEST(ElasticTest, ElasticTelemetryReplayIsByteIdentical) {
     d.net->events().ScheduleAfter(500 * kMillisecond, [&d] { d.RaiseSyn(d.h.a, true); });
     d.net->events().ScheduleAfter(3 * kSecond, [&d] { d.RaiseSyn(d.h.a, false); });
     d.net->RunUntil(8 * kSecond);
-    return d.rec.elastic_stats().ToJsonSection();
+    telemetry::ExportOptions opts;
+    opts.include_prof = false;
+    return telemetry::ToJson(d.rec, opts);
   };
   const std::string a = cycle();
   const std::string b = cycle();
-  EXPECT_FALSE(a.empty());
-  EXPECT_NE(a.find("\"scale_up\""), std::string::npos);
-  EXPECT_NE(a.find("\"teardown\""), std::string::npos);
+  EXPECT_NE(a.find("\"name\":\"elastic.scale_up."), std::string::npos);
+  EXPECT_NE(a.find("\"name\":\"elastic.teardown."), std::string::npos);
   EXPECT_EQ(a, b);
 }
 
@@ -236,8 +250,16 @@ TEST(ElasticTest, MultiTenantCoexistenceAcceptance) {
   EXPECT_TRUE(r.retired);
   EXPECT_EQ(r.teardowns, r.scale_ups);
   EXPECT_GT(r.last_teardown_at, 30 * kSecond);
+  // The SYN-proxy counters outlive the teardown of the modules that fed
+  // them: after full retirement their per-switch sums still equal the
+  // sampled peaks of the live modules.
+  EXPECT_EQ(SumCounters(rec, "switch.", ".syn.cookies_sent"), r.cookies_sent);
+  EXPECT_EQ(SumCounters(rec, "switch.", ".syn.handshakes_validated"),
+            r.handshakes_validated);
   // The decision log rode into the exported artifact.
-  EXPECT_NE(telemetry::ToJson(rec).find("\"elastic\":"), std::string::npos);
+  const std::string json = telemetry::ToJson(rec);
+  EXPECT_NE(json.find("\"elastic.scale_ups\":"), std::string::npos);
+  EXPECT_NE(json.find("\"name\":\"elastic.teardown."), std::string::npos);
 }
 
 }  // namespace

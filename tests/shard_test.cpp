@@ -18,6 +18,7 @@
 #include "scenarios/builder.h"
 #include "scenarios/faulty_fig3.h"
 #include "scenarios/fig3.h"
+#include "scenarios/multi_tenant_fig.h"
 #include "scenarios/scale_fig3.h"
 #include "scenarios/syn_flood_fig.h"
 #include "sim/sharded_engine.h"
@@ -89,6 +90,42 @@ TEST(Shard, SynFloodK1VsK4ByteIdenticalTelemetry) {
   EXPECT_GT(r1.cookies_sent, 0u);
   EXPECT_EQ(r1.established, r4.established);
   EXPECT_EQ(r1.delivered_bytes, r4.delivered_bytes);
+  EXPECT_EQ(r1.events_processed, r4.events_processed);
+}
+
+TEST(Shard, MultiTenantK1VsK4ByteIdenticalTelemetry) {
+  // The elastic loop and the SYN-proxy / adversarial-hardening counters
+  // under real sharding: the loop's decisions run as coordinator globals,
+  // the per-switch "switch.<sw>.syn.*" counters are bumped in place by each
+  // switch's owner shard, and elastically installed proxies are built at a
+  // coordinator barrier.  A shortened run that still sheds, cookies the
+  // flood and retires the scale-ups must export the same bytes at K=1 and
+  // K=4.
+  auto opts = [](telemetry::Recorder* rec, int shards) {
+    MultiTenantOptions opt;
+    opt.seed = 1;
+    opt.duration = 10 * kSecond;
+    opt.attack_at = 2 * kSecond;
+    opt.attack_stop = 5 * kSecond;
+    opt.clients_per_region = 1;
+    opt.shards = shards;
+    opt.recorder = rec;
+    return opt;
+  };
+  telemetry::Recorder rec1;
+  const MultiTenantResult r1 = RunMultiTenantFig(opts(&rec1, 1));
+  telemetry::Recorder rec4;
+  const MultiTenantResult r4 = RunMultiTenantFig(opts(&rec4, 4));
+
+  EXPECT_EQ(ExportNoProf(rec1), ExportNoProf(rec4))
+      << "multi-tenant telemetry depends on the shard count";
+  EXPECT_GE(r1.sheds, 1u);
+  EXPECT_GT(r1.cookies_sent, 0u);
+  EXPECT_GE(r1.teardowns, 1u);
+  EXPECT_GT(r1.last_teardown_at, 0);
+  EXPECT_EQ(r1.sheds, r4.sheds);
+  EXPECT_EQ(r1.cookies_sent, r4.cookies_sent);
+  EXPECT_EQ(r1.teardowns, r4.teardowns);
   EXPECT_EQ(r1.events_processed, r4.events_processed);
 }
 

@@ -116,7 +116,7 @@ TEST(Export, JsonContainsAllFamiliesAndSchema) {
   rec.trace().CloseSpan(id, 2);
 
   const std::string json = ToJson(rec);
-  EXPECT_NE(json.find("\"schema\":\"fastflex.telemetry.v1\""), std::string::npos);
+  EXPECT_NE(json.find("\"schema\":\"fastflex.telemetry.v2\""), std::string::npos);
   EXPECT_NE(json.find("\"c.one\":7"), std::string::npos);
   EXPECT_NE(json.find("\"g.one\":0.25"), std::string::npos);
   EXPECT_NE(json.find("\"s.one\""), std::string::npos);
