@@ -301,13 +301,38 @@ void BM_EventClosureFunction(benchmark::State& state) {
 }
 BENCHMARK(BM_EventClosureFunction);
 
+/// One hold-model event: when it fires it schedules its successor at a
+/// pseudo-random delay, so the pending-set size stays constant.
+struct HoldEvent {
+  sim::EventQueue* q;
+  std::uint64_t* lcg;
+  void operator()() const {
+    *lcg = *lcg * 6364136223846793005ULL + 1442695040888963407ULL;
+    q->ScheduleAfter(static_cast<SimTime>(1 + (*lcg >> 33) % 4096), HoldEvent{q, lcg});
+  }
+};
+
 void BM_EventQueueSchedule(benchmark::State& state) {
   // Event admission cost, single vs bulk.  Arg(0): one ScheduleAt per
   // event (per-event sift-up).  Arg(1): the same batch through
-  // ScheduleBulk (append + one Floyd rebuild).
-  const bool bulk = state.range(0) != 0;
+  // ScheduleBulk (append + one Floyd rebuild).  Arg(n >= 2): the steady
+  // state the scenarios run in (the hold model) — n events stay pending,
+  // and each item pops one and schedules one.  The two sizes bracket the
+  // scenarios' peaks: 1,913 pending events on Fig 3, 5,342 on multi-tenant.
+  const std::int64_t mode = state.range(0);
   sim::EventQueue q;
   q.Reserve(4096);
+  if (mode >= 2) {
+    std::uint64_t lcg = 1;
+    for (std::int64_t i = 0; i < mode; ++i) {
+      lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
+      q.ScheduleAt(static_cast<SimTime>((lcg >> 33) % 4096), HoldEvent{&q, &lcg});
+    }
+    for (auto _ : state) benchmark::DoNotOptimize(q.DispatchOne(sim::EventQueue::kNoEvent));
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+    return;
+  }
+  const bool bulk = mode != 0;
   std::uint64_t n = 0;
   for (auto _ : state) {
     if (bulk) {
@@ -327,7 +352,7 @@ void BM_EventQueueSchedule(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(n));
 }
-BENCHMARK(BM_EventQueueSchedule)->Arg(0)->Arg(1);
+BENCHMARK(BM_EventQueueSchedule)->Arg(0)->Arg(1)->Arg(2048)->Arg(8192);
 
 }  // namespace
 

@@ -87,7 +87,7 @@ struct Fig3GridOptions {
   /// embarrassingly parallel) and per-run shards for narrow grids of long
   /// runs; the report bytes are identical either way, because a sharded
   /// cell's telemetry is K-invariant and the report orders by cell index.
-  sim::RunOptions run = {.duration = 120 * kSecond};
+  sim::RunOptions run = {.duration = 120 * kSecond, .shards = 0, .export_options = {}};
 };
 
 const char* DefenseName(scenarios::DefenseKind kind);

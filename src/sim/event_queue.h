@@ -1,15 +1,27 @@
 // Discrete-event engine.
 //
-// An explicit binary min-heap keyed by (time, insertion sequence).
+// A 4-ary min-heap of 24-byte keys {time, insertion sequence, slot} over a
+// slot arena that parks each pending callback and its owner tag.
 //
 // Ordering contract (replay identity depends on it): events pop in
 // ascending time, and events scheduled for the *same* simulated time pop in
 // insertion order.  The (t, seq) key is a total order — no two events ever
 // compare equal — so the pop sequence is a pure function of the schedule
-// calls and never depends on heap internals (sift order, capacity,
-// std-library version).  The parallel experiment runner's "1 thread vs N
-// threads bit-identical" guarantee reduces to this property, because every
-// worker replays its cells on a private queue.
+// calls and never depends on heap internals (arity, sift order, capacity,
+// arena slot reuse, std-library version).  The parallel experiment runner's
+// "1 thread vs N threads bit-identical" guarantee reduces to this property,
+// because every worker replays its cells on a private queue.
+//
+// Why the heap holds keys, not events: a sift level moves one heap entry,
+// and a 64-byte SmallCallback can only move through its indirect relocate
+// call.  Parking the callback in an arena slot once at admission means the
+// sifts shuffle plain 24-byte keys (hole-based: each level is one key copy,
+// no swaps) and the callback moves once more, out of its slot, when it
+// pops.  (Regrowing the arena relocates parked callbacks too, but that is
+// amortised and stops once the arena reaches the run's peak; Reserve
+// pre-sizes it.)  The slot is freed before the callback runs, so the
+// callback may schedule — reusing that very slot through the LIFO freelist
+// — and may grow the arena without invalidating anything it touches.
 //
 // Callbacks are SmallCallback, not std::function: hot-path closures (packet
 // delivery, timers) stay within the inline capture budget, so scheduling an
@@ -36,9 +48,9 @@ class EventQueue {
     Callback fn;
   };
 
-  /// A pending event.  `ctx` is the owner-node tag stamped from the
-  /// scheduling thread's ExecContext (-1 = global); ShardedEngine uses it
-  /// to migrate pre-scheduled events into their owner shards.  Public so
+  /// A popped or extracted event.  `ctx` is the owner-node tag stamped from
+  /// the scheduling thread's ExecContext (-1 = global); ShardedEngine uses
+  /// it to migrate pre-scheduled events into their owner shards.  Public so
   /// ExtractAll can hand events across queues without copying callbacks.
   struct Event {
     SimTime t;
@@ -67,13 +79,13 @@ class EventQueue {
   /// sequence numbers in batch order (so same-time entries fire in batch
   /// order, interleaving correctly with prior and later ScheduleAt calls).
   /// For batches that are large relative to the pending set this rebuilds
-  /// the heap once in O(pending + batch) instead of paying O(log n) sifts
-  /// per entry.
+  /// the key heap once (Floyd, O(pending + batch)) instead of paying
+  /// O(log n) sifts per entry.
   void ScheduleBulk(std::vector<TimedEvent> batch);
 
-  /// Pre-sizes the pending-event storage (e.g. before injecting a large
-  /// traffic schedule) so admission never reallocates mid-run.
-  void Reserve(std::size_t events) { heap_.reserve(events); }
+  /// Pre-sizes the key heap and the slot arena (24 + 64 + 8 bytes per
+  /// event) so admission never reallocates mid-run.
+  void Reserve(std::size_t events);
 
   /// Runs events until the queue is empty or the next event is after `until`.
   /// Time advances to `until` even if the queue drains earlier.
@@ -125,21 +137,48 @@ class EventQueue {
   void set_profiler(telemetry::Profiler* prof) { prof_ = prof; }
 
  private:
+  /// A heap entry: the ordering key plus the arena slot of its callback.
+  struct Key {
+    SimTime t;
+    std::uint64_t seq;
+    std::uint32_t slot;
+  };
+  static_assert(sizeof(Key) == 24);
+
+  static constexpr std::size_t kArity = 4;
+  static constexpr std::uint32_t kNoSlot = std::numeric_limits<std::uint32_t>::max();
+
   /// Strict total order: earlier time first, earlier insertion first.
-  static bool Before(const Event& a, const Event& b) {
+  static bool Before(const Key& a, const Key& b) {
     return a.t != b.t ? a.t < b.t : a.seq < b.seq;
   }
 
-  void SiftUp(std::size_t i);
-  void SiftDown(std::size_t i);
+  /// Hole-based sifts: `hole` is a vacant position and `k` the key to
+  /// place.  Entries shift into the hole until `k` fits there, and `k` is
+  /// written once.
+  void SiftUp(std::size_t hole, Key k);
+  void SiftDown(std::size_t hole, Key k);
+
+  /// Parks `fn` in a free slot (the most recently freed one first, else a
+  /// new one at the arena's end) and returns its index.
+  std::uint32_t Park(std::int64_t ctx, Callback&& fn);
+  void Admit(SimTime t, std::int64_t ctx, Callback&& fn);
+  /// Removes the earliest key, moves its callback out and frees its slot.
   Event PopTop();
+  void Fire(Event& ev);
 
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t processed_ = 0;
   std::size_t peak_pending_ = 0;
   telemetry::Profiler* prof_ = nullptr;
-  std::vector<Event> heap_;  // binary min-heap under Before()
+  std::vector<Key> heap_;  // 4-ary min-heap under Before()
+  // The slot arena, as two parallel arrays indexed by slot.  A free slot
+  // holds an empty callback, and its ctx_ entry holds the next free slot
+  // (kNoSlot ends the list), so the freelist costs no extra storage.
+  std::vector<Callback> fns_;
+  std::vector<std::int64_t> ctx_;
+  std::uint32_t free_head_ = kNoSlot;
 };
 
 }  // namespace fastflex::sim

@@ -156,7 +156,9 @@ TEST(ElasticTest, QuietEpochsTearDownToDefaultProgram) {
   for (NodeId sw : d.Switches()) {
     EXPECT_FALSE(d.orch->BoosterInstalled(sw, "syn_mitigation")) << sw;
     auto it = d.elastic->loop_installed().find(sw);
-    if (it != d.elastic->loop_installed().end()) EXPECT_TRUE(it->second.empty());
+    if (it != d.elastic->loop_installed().end()) {
+      EXPECT_TRUE(it->second.empty());
+    }
   }
   EXPECT_EQ(d.Count("teardowns"), d.Count("scale_ups"));
   EXPECT_EQ(d.Count("over_budget"), 0u);

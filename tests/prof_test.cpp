@@ -66,8 +66,9 @@ TEST(Profiler, StrideOneSamplesEveryEntry) {
     ProfScope scope(prof.enabled_self(), ProfSite::kHostStack);
   }
   for (const auto& n : prof.nodes()) {
-    if (n.site == ProfSite::kHostStack && n.parent == nullptr)
+    if (n.site == ProfSite::kHostStack && n.parent == nullptr) {
       EXPECT_EQ(n.samples, 10u);
+    }
   }
 }
 
