@@ -56,9 +56,9 @@ std::uint32_t EventQueue::Park(std::int64_t ctx, Callback&& fn) {
   return s;
 }
 
-void EventQueue::Admit(SimTime t, std::int64_t ctx, Callback&& fn) {
+void EventQueue::Admit(SimTime t, std::uint64_t seq, std::int64_t ctx, Callback&& fn) {
   if (t < now_) t = now_;
-  const Key k{t, next_seq_++, Park(ctx, std::move(fn))};
+  const Key k{t, seq, Park(ctx, std::move(fn))};
   heap_.push_back(k);
   SiftUp(heap_.size() - 1, k);
 }
@@ -85,7 +85,12 @@ void EventQueue::ScheduleAt(SimTime t, Callback fn) {
 }
 
 void EventQueue::ScheduleAtCtx(SimTime t, std::int64_t ctx, Callback fn) {
-  Admit(t, ctx, std::move(fn));
+  Admit(t, next_seq_++, ctx, std::move(fn));
+  if (heap_.size() > peak_pending_) peak_pending_ = heap_.size();
+}
+
+void EventQueue::ScheduleAtSeq(SimTime t, std::uint64_t seq, Callback fn) {
+  Admit(t, seq, CurrentExec().ctx, std::move(fn));
   if (heap_.size() > peak_pending_) peak_pending_ = heap_.size();
 }
 
@@ -107,13 +112,14 @@ void EventQueue::ScheduleBulk(std::vector<TimedEvent> batch) {
       for (std::size_t i = (n - 2) / kArity + 1; i-- > 0;) SiftDown(i, heap_[i]);
     }
   } else {
-    for (auto& e : batch) Admit(e.t, ctx, std::move(e.fn));
+    for (auto& e : batch) Admit(e.t, next_seq_++, ctx, std::move(e.fn));
   }
   if (heap_.size() > peak_pending_) peak_pending_ = heap_.size();
 }
 
 void EventQueue::Fire(Event& ev) {
   now_ = ev.t;
+  cur_seq_ = ev.seq;
   ++processed_;
   if (prof_ != nullptr) [[unlikely]] {
     if ((processed_ & 63u) == 0) prof_->QueueOccupancy(heap_.size());
@@ -122,6 +128,7 @@ void EventQueue::Fire(Event& ev) {
   } else {
     ev.fn();
   }
+  cur_seq_ = kNoSeq;
 }
 
 void EventQueue::RunUntil(SimTime until) {

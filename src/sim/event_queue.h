@@ -23,6 +23,14 @@
 // callback may schedule — reusing that very slot through the LIFO freelist
 // — and may grow the arena without invalidating anything it touches.
 //
+// Reserved keys: ReserveSeq takes the next insertion seq without admitting
+// anything, and ScheduleAtSeq admits a callback at such a key later.  A
+// reservation consumes its seq exactly where a ScheduleAt at the same call
+// site would, so every other event keeps the key it would have had, and a
+// caller that settles an event's work lazily (link departures) or defers
+// admitting it (TCP's one live RTO timer) leaves the pop order of all
+// remaining events unchanged.
+//
 // Callbacks are SmallCallback, not std::function: hot-path closures (packet
 // delivery, timers) stay within the inline capture budget, so scheduling an
 // event performs no heap allocation.
@@ -61,8 +69,14 @@ class EventQueue {
 
   /// Sentinel returned by PeekTime() on an empty queue.
   static constexpr SimTime kNoEvent = std::numeric_limits<SimTime>::max();
+  /// CurrentSeq() between events: compares after every real seq.
+  static constexpr std::uint64_t kNoSeq = std::numeric_limits<std::uint64_t>::max();
 
   SimTime Now() const { return now_; }
+
+  /// The running event's insertion seq, or kNoSeq outside any callback.
+  /// Together with Now() it is the (t, seq) key of the work in progress.
+  std::uint64_t CurrentSeq() const { return cur_seq_; }
 
   /// Schedules `fn` at absolute time `t` (clamped to Now()).
   void ScheduleAt(SimTime t, Callback fn);
@@ -74,6 +88,19 @@ class EventQueue {
 
   /// Schedules `fn` after a delay relative to Now().
   void ScheduleAfter(SimTime delay, Callback fn) { ScheduleAt(now_ + delay, std::move(fn)); }
+
+  /// Takes the next insertion seq without admitting an event: the key a
+  /// ScheduleAt here would have received.
+  std::uint64_t ReserveSeq() {
+    ++reserved_;
+    return next_seq_++;
+  }
+
+  /// Admits `fn` at the reserved key (t, seq), owned by the calling
+  /// context.  The caller must admit before the queue pops past that key
+  /// (t >= Now(), and no event after (t, seq) has run yet); each reserved
+  /// seq may be admitted at most once.
+  void ScheduleAtSeq(SimTime t, std::uint64_t seq, Callback fn);
 
   /// Bulk-schedule fast path: admits a whole batch, assigning insertion
   /// sequence numbers in batch order (so same-time entries fire in batch
@@ -118,7 +145,12 @@ class EventQueue {
   /// Removes and returns every pending event in (t, seq) pop order, leaving
   /// the queue empty.  ShardedEngine calls this once at attach to migrate
   /// the scenario's pre-scheduled events onto shard queues by ctx tag.
+  /// Re-admission renumbers them, so a reserved key still held elsewhere
+  /// would lose its place: callers check reserved() first.
   std::vector<Event> ExtractAll();
+
+  /// Number of keys ReserveSeq has handed out over the queue's life.
+  std::uint64_t reserved() const { return reserved_; }
 
   bool Empty() const { return heap_.empty(); }
   std::size_t Pending() const { return heap_.size(); }
@@ -162,13 +194,15 @@ class EventQueue {
   /// Parks `fn` in a free slot (the most recently freed one first, else a
   /// new one at the arena's end) and returns its index.
   std::uint32_t Park(std::int64_t ctx, Callback&& fn);
-  void Admit(SimTime t, std::int64_t ctx, Callback&& fn);
+  void Admit(SimTime t, std::uint64_t seq, std::int64_t ctx, Callback&& fn);
   /// Removes the earliest key, moves its callback out and frees its slot.
   Event PopTop();
   void Fire(Event& ev);
 
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
+  std::uint64_t cur_seq_ = kNoSeq;
+  std::uint64_t reserved_ = 0;
   std::uint64_t processed_ = 0;
   std::size_t peak_pending_ = 0;
   telemetry::Profiler* prof_ = nullptr;

@@ -28,7 +28,11 @@ std::uint64_t MixSeed(std::uint64_t seed, std::uint64_t salt, std::uint64_t id) 
 }  // namespace
 
 Network::Network(Topology topo, std::uint64_t seed)
-    : topo_(std::move(topo)), rng_(seed), seed_(seed), link_rt_(topo_.NumLinks()) {
+    : topo_(std::move(topo)),
+      rng_(seed),
+      seed_(seed),
+      link_rt_(topo_.NumLinks()),
+      departures_(topo_.NumLinks()) {
   // Pre-size the event heap so steady traffic never reallocates mid-run.
   events_.Reserve(4096);
   nodes_.reserve(topo_.NumNodes());
@@ -83,7 +87,9 @@ Host* Network::host_at(NodeId id) {
 void Network::SendOnLink(LinkId link, Packet&& pkt) {
   auto& rt = link_rt_[static_cast<std::size_t>(link)];
   const auto& info = topo_.link(link);
-  const SimTime now = Now();
+  // The calling context's queue: the global one, or the sender's shard.
+  EventQueue& q = events();
+  const SimTime now = q.Now();
   const std::uint32_t size = pkt.size_bytes;
   // Sharded capture: registry counters/series are shared across workers, so
   // while a sink is installed the drop hooks count into it instead (summed
@@ -118,7 +124,9 @@ void Network::SendOnLink(LinkId link, Packet&& pkt) {
     }
   }
 
-  // Drop-tail admission on the (bytes-denominated) transmit queue.
+  // Drop-tail admission on the (bytes-denominated) transmit queue, after
+  // applying every transmission that has completed by now.
+  SettleDepartures(static_cast<std::size_t>(link), q);
   if (rt.queued_bytes + size > info.queue_bytes) {
     ++rt.dropped_packets;
     rt.dropped_bytes += size;
@@ -157,21 +165,12 @@ void Network::SendOnLink(LinkId link, Packet&& pkt) {
   rt.tx_packets += 1;
   rt.tx_bytes += size;
 
-  // Tx-completion bookkeeping runs wherever the sender runs: events() is
-  // the calling context's queue, so under sharding the link's runtime state
-  // stays single-writer (its from-node's shard, or the coordinator at a
-  // barrier).
-  events().ScheduleAt(depart, [this, link, size] {
-    auto& r = link_rt_[static_cast<std::size_t>(link)];
-    r.queued_bytes -= size;
-    // Utilization accounting happens at transmission completion, so a burst
-    // sitting in the queue registers as sustained load, not a spike.
-    r.bytes_since_sample += size;
-    if (r.spike_latched &&
-        r.queued_bytes * 4 < topo_.link(link).queue_bytes) [[unlikely]] {
-      r.spike_latched = false;
-    }
-  });
+  // Tx completion is settled lazily by the link's next reader, at the key
+  // its event would have had: a seq reserved here, on the calling
+  // context's queue (so under sharding the link's runtime state stays
+  // single-writer: its from-node's shard, or the coordinator at a barrier).
+  departures_[static_cast<std::size_t>(link)].q.push_back(
+      Departure{depart, q.ReserveSeq(), size, &q == &events_});
   if (shard_engine_ != nullptr) {
     // Sharded delivery: through the link's channel, so the receiving shard
     // merges it deterministically against its own events (shard_channel.h).
@@ -200,6 +199,52 @@ void Network::SendOnLink(LinkId link, Packet&& pkt) {
   }
 }
 
+void Network::SettleDepartures(std::size_t l) const {
+  if (departures_[l].head == departures_[l].q.size()) return;
+  const ExecContext& ec = CurrentExec();
+  SettleDepartures(l, ec.queue != nullptr ? *ec.queue : events_);
+}
+
+void Network::SettleDepartures(std::size_t l, const EventQueue& q) const {
+  DepartureFifo& fifo = departures_[l];
+  if (fifo.head == fifo.q.size()) return;
+  const bool reader_global = &q == &events_;
+  // The reader's position: (t, r) on its own queue, r == kNoSeq outside
+  // any heap event (a sharded channel delivery, or the coordinator between
+  // global events).
+  const SimTime t = q.Now();
+  const std::uint64_t r = q.CurrentSeq();
+  LinkRuntime& rt = link_rt_[l];
+  const std::uint64_t capacity = topo_.link(static_cast<LinkId>(l)).queue_bytes;
+  for (; fifo.head < fifo.q.size(); ++fifo.head) {
+    const Departure& d = fifo.q[fifo.head];
+    // Would the completion event at (depart, seq) have run before the
+    // reader?  Earlier times always have.  At equal times: the same queue
+    // orders by seq; globals run before shard events; and a shard event
+    // has run before a coordinator reader outside any global event.
+    const bool ran = d.depart != t              ? d.depart < t
+                     : d.global == reader_global ? d.seq < r
+                                                 : d.global || r == EventQueue::kNoSeq;
+    if (!ran) break;
+    rt.queued_bytes -= d.size;
+    // Utilization accounting happens at transmission completion, so a burst
+    // sitting in the queue registers as sustained load, not a spike.
+    rt.bytes_since_sample += d.size;
+    if (rt.spike_latched && rt.queued_bytes * 4 < capacity) [[unlikely]] {
+      rt.spike_latched = false;
+    }
+  }
+  if (fifo.head == fifo.q.size()) {
+    fifo.q.clear();
+    fifo.head = 0;
+  } else if (fifo.head >= 64 && fifo.head * 2 >= fifo.q.size()) {
+    // A link that never drains keeps its FIFO bounded: drop the settled
+    // prefix once it is at least half the buffer (amortised O(1)).
+    fifo.q.erase(fifo.q.begin(), fifo.q.begin() + static_cast<std::ptrdiff_t>(fifo.head));
+    fifo.head = 0;
+  }
+}
+
 void Network::EnableLinkSampling(SimTime period) {
   if (sample_period_ > 0) return;  // already enabled
   sample_period_ = period;
@@ -213,6 +258,7 @@ void Network::SampleLinks(SimTime period) {
   last_sample_ = now;
   if (dt > 0) {
     for (std::size_t l = 0; l < link_rt_.size(); ++l) {
+      SettleDepartures(l);
       auto& rt = link_rt_[l];
       const double inst =
           static_cast<double>(rt.bytes_since_sample) * 8.0 / (dt * topo_.link(static_cast<LinkId>(l)).rate_bps);
@@ -374,6 +420,7 @@ void Network::SetTelemetry(telemetry::Recorder* recorder) {
 void Network::CollectTelemetry(telemetry::Recorder& recorder) const {
   auto& m = recorder.metrics();
   for (std::size_t l = 0; l < link_rt_.size(); ++l) {
+    SettleDepartures(l);
     const auto& rt = link_rt_[l];
     // Quiet links stay out of the artifact so it scales with activity, not
     // with topology size.

@@ -27,6 +27,9 @@ class Host;
 class ShardedEngine;
 
 /// Dynamic per-link state: transmission scheduling, drop-tail queue, stats.
+/// queued_bytes, bytes_since_sample and spike_latched change when a
+/// transmission completes; Network settles those completions lazily, so
+/// read them through Network::link_runtime(), which settles first.
 struct LinkRuntime {
   SimTime next_free = 0;         // when the transmitter becomes idle
   std::uint64_t queued_bytes = 0;  // bytes waiting for or in transmission
@@ -173,7 +176,11 @@ class Network {
   void set_packet_pooling(bool on) { pooling_ = on; }
   bool packet_pooling() const { return pooling_; }
 
+  /// The link's runtime state, with every transmission that has completed
+  /// by the calling context's (t, seq) position settled.  Call it from the
+  /// link's owner: its from-node's shard, or the coordinator.
   const LinkRuntime& link_runtime(LinkId l) const {
+    SettleDepartures(static_cast<std::size_t>(l));
     return link_rt_[static_cast<std::size_t>(l)];
   }
 
@@ -353,6 +360,32 @@ class Network {
 
   void SampleLinks(SimTime period);
 
+  /// A transmission whose completion is not yet applied to its link: when
+  /// it departs, the (depart, seq) key its completion event would have had
+  /// (the seq is reserved on the sender's queue), the bytes it frees, and
+  /// whether that queue is the global one (else the from-node's shard).
+  struct Departure {
+    SimTime depart;
+    std::uint64_t seq;
+    std::uint32_t size;
+    bool global;
+  };
+  /// One link's unsettled departures in send order; `head` is the first
+  /// live entry.  Departures strictly increase along a link, so settling
+  /// always consumes a prefix.
+  struct DepartureFifo {
+    std::vector<Departure> q;
+    std::size_t head = 0;
+  };
+
+  /// Applies, in FIFO order, every departure of link `l` whose completion
+  /// event would already have run at the calling context's position, one
+  /// entry at a time: queued_bytes down, bytes_since_sample up, spike
+  /// latch re-armed under a quarter of capacity.
+  void SettleDepartures(std::size_t l) const;
+  /// The same for a reader on queue `q` (the global one or a shard's).
+  void SettleDepartures(std::size_t l, const EventQueue& q) const;
+
   /// Folds the per-shard sinks' summable shadows back into the registry
   /// hooks and members (counters by addition, series bin-wise, cwnd by
   /// canonical-order replay).  Called once by ShardedEngine::Finish.
@@ -383,7 +416,11 @@ class Network {
   PacketPool pool_;
   bool pooling_ = true;
   std::vector<std::unique_ptr<Node>> nodes_;
-  std::vector<LinkRuntime> link_rt_;
+  // Mutable: settling departures materialises state that is logically
+  // already current, so const readers (link_runtime, CollectTelemetry)
+  // settle too.
+  mutable std::vector<LinkRuntime> link_rt_;
+  mutable std::vector<DepartureFifo> departures_;  // by LinkId
   std::unordered_map<FlowId, FlowStats> flow_stats_;
   std::unordered_map<FlowId, FlowEndpoints> flow_endpoints_;
   std::unordered_map<Address, NodeId> host_by_addr_;

@@ -40,6 +40,15 @@ ShardedEngine::ShardedEngine(Network& net, Options opts) : net_(net) {
   if (net_.shard_engine_ != nullptr) {
     throw std::runtime_error("ShardedEngine: network already has an engine attached");
   }
+  // Reserved keys (unsettled link departures, armed TCP RTO deadlines) live
+  // in the global queue's seq numbering, which MigrateScheduledEvents
+  // renumbers; none may exist yet, i.e. the run must not have started.
+  if (net_.events_.reserved() != 0) {
+    throw std::runtime_error(
+        "ShardedEngine: attach before the run starts; the global queue has already "
+        "reserved event keys (link departures, TCP RTO deadlines) that migration "
+        "would renumber");
+  }
   ValidateAndPartition(opts.shards);
   BuildChannels();
 

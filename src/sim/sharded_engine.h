@@ -46,7 +46,9 @@
 // is sharded(K) == sharded(1), not sharded == legacy.
 //
 // Lifecycle: construct AFTER the scenario is built (the constructor
-// migrates already-scheduled events onto their owner shards), call
+// migrates already-scheduled events onto their owner shards) and before
+// anything has run (it throws if the global queue already reserved event
+// keys, which the migration would renumber: DESIGN.md §11), call
 // RunUntil one or more times from the building thread, then Finish() to
 // merge telemetry and detach.  The destructor calls Finish if the caller
 // did not.
@@ -83,8 +85,8 @@ class ShardedEngine {
   /// Validates region labels (must form a dense label set, see
   /// ValidateRegions), partitions, builds channels, migrates pre-scheduled
   /// events, and starts worker threads (parked until RunUntil).
-  /// Throws std::runtime_error on invalid labels or a cross-shard link
-  /// with zero propagation delay.
+  /// Throws std::runtime_error on invalid labels, a cross-shard link
+  /// with zero propagation delay, or a network whose run has started.
   ShardedEngine(Network& net, Options opts);
   ~ShardedEngine();
 

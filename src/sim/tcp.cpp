@@ -70,8 +70,37 @@ void TcpSender::SendSegment(std::uint64_t seq, bool is_retx) {
 }
 
 void TcpSender::ArmRto() {
-  const std::uint64_t epoch = ++rto_epoch_;
-  net_->events().ScheduleAfter(rto_, [this, epoch] { OnRto(epoch); });
+  EventQueue& q = net_->events();
+  rto_armed_epoch_ = ++rto_epoch_;
+  rto_at_ = q.Now() + rto_;
+  rto_seq_ = q.ReserveSeq();
+  if (timer_pending_) {
+    // The pending event comes first (its seq is older): it re-admits
+    // itself at the new deadline when it fires.
+    if (timer_at_ <= rto_at_) return;
+    ++timer_gen_;  // the deadline moved earlier: retire it
+  }
+  AdmitRtoTimer(q);
+}
+
+void TcpSender::AdmitRtoTimer(EventQueue& q) {
+  timer_pending_ = true;
+  timer_at_ = rto_at_;
+  q.ScheduleAtSeq(rto_at_, rto_seq_, [this, gen = timer_gen_] { OnRtoTimer(gen); });
+}
+
+void TcpSender::OnRtoTimer(std::uint64_t gen) {
+  if (gen != timer_gen_) return;  // superseded by an earlier deadline
+  timer_pending_ = false;
+  if (rto_armed_epoch_ != rto_epoch_) return;  // cancelled: nothing to re-admit
+  // This event's own queue: the one the deadline was reserved on (all of a
+  // sender's timers run on its host's queue).
+  EventQueue& q = net_->events();
+  if (q.CurrentSeq() != rto_seq_) {
+    AdmitRtoTimer(q);  // fired before the deadline
+    return;
+  }
+  OnRto(rto_armed_epoch_);
 }
 
 void TcpSender::OnRto(std::uint64_t epoch) {

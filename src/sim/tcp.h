@@ -48,6 +48,11 @@ class TcpSender : public FlowEndpoint {
   void TrySend();
   void SendSegment(std::uint64_t seq, bool is_retx);
   void ArmRto();
+  /// Queues the physical timer event at the recorded deadline key.
+  void AdmitRtoTimer(EventQueue& q);
+  /// The physical timer event: retired if superseded, re-admitted at the
+  /// deadline if it fired early, else the timeout itself.
+  void OnRtoTimer(std::uint64_t gen);
   void OnRto(std::uint64_t epoch);
   void OnLossEvent();
   void RecoveryRetransmit(int budget);
@@ -81,6 +86,18 @@ class TcpSender : public FlowEndpoint {
   SimTime rto_;
   std::uint64_t rto_epoch_ = 0;  // cancels stale timers
   bool retx_outstanding_ = false;
+
+  // One live RTO timer.  ArmRto records the logical deadline: now + rto
+  // with a seq reserved at the call, the key a timer event scheduled there
+  // would get.  A physical event sits at the earliest key still needed;
+  // firing before the deadline, it re-admits itself there, so the timeout
+  // runs at exactly that key and every other event keeps its own.
+  SimTime rto_at_ = 0;
+  std::uint64_t rto_seq_ = 0;
+  std::uint64_t rto_armed_epoch_ = 0;  // rto_epoch_ when the deadline was set
+  bool timer_pending_ = false;   // a live physical event is queued
+  SimTime timer_at_ = 0;         // ...at this time
+  std::uint64_t timer_gen_ = 0;  // retires superseded physical events
 
   bool running_ = false;
   bool completed_ = false;

@@ -17,6 +17,22 @@ std::string NumToJson(double v) {
   return buf;
 }
 
+// The cost of one steady_clock read: the best of a few timed loops, so a
+// preempted loop does not inflate it.  Runs once per process.
+double CalibrateClockReadNs() {
+  using Clock = std::chrono::steady_clock;
+  constexpr int kReads = 2048;
+  double best = 0.0;
+  for (int rep = 0; rep < 5; ++rep) {
+    const auto t0 = Clock::now();
+    auto last = t0;
+    for (int i = 0; i < kReads; ++i) last = Clock::now();
+    const double per = std::chrono::duration<double, std::nano>(last - t0).count() / kReads;
+    if (rep == 0 || per < best) best = per;
+  }
+  return best;
+}
+
 }  // namespace
 
 const char* ProfSiteName(ProfSite site) {
@@ -42,6 +58,8 @@ void Profiler::Enable(std::uint32_t stride) {
   while (pow2 < stride) pow2 <<= 1;
   mask_ = pow2 - 1;
   enabled_ = true;
+  static const double kClockReadNs = CalibrateClockReadNs();
+  clock_read_ns_ = kClockReadNs;
   // Reserve the full arena first: node pointers must stay stable for the
   // lifetime of the profiler (the tree links by pointer).  Then pre-create
   // the top-level node of every site: the tree shape starts deterministic,
@@ -54,6 +72,25 @@ void Profiler::Enable(std::uint32_t stride) {
   // Size the region array once so the per-delivery tally is branch-free
   // (beyond the clamp); empty regions are skipped at export.
   regions_.resize(kMaxRegions);
+}
+
+void ProfScope::Open(Profiler* prof, Profiler::Node* parent, ProfSite site) {
+  prof_ = prof;
+  parent_ = parent;
+  node_ = prof->ChildOf(parent, site);
+  prof->cur_ = node_;
+  reads0_ = ++prof->clock_reads_;
+  t0_ns_ = std::chrono::steady_clock::now().time_since_epoch().count();
+}
+
+void ProfScope::Close() {
+  const std::int64_t now_ns = std::chrono::steady_clock::now().time_since_epoch().count();
+  // Reads taken by samples nested in this one, between its own two.
+  const std::uint64_t inner = prof_->clock_reads_ - reads0_;
+  ++prof_->clock_reads_;
+  prof_->cur_ = parent_;
+  ++node_->samples;
+  node_->sampled_ns += Profiler::DebiasNs(now_ns - t0_ns_, inner, prof_->clock_read_ns_);
 }
 
 void Profiler::RegionBinSample(std::uint32_t region, SimTime t) {
@@ -84,6 +121,7 @@ Profiler::Node* Profiler::ChildOf(Node* parent, ProfSite site) {
 
 void Profiler::MergeFrom(const Profiler& other) {
   for (std::size_t s = 0; s < kSiteCount; ++s) site_calls_[s] += other.site_calls_[s];
+  clock_reads_ += other.clock_reads_;
   // Walk the other tree in creation order: parents are always created
   // before their children, so by the time a node is visited its parent's
   // counterpart in this tree already exists in `map`.

@@ -30,6 +30,12 @@
 // Estimator: entries are sampled uniformly at 1/stride (top-level sites
 // directly; nested sites by riding their ancestors' samples), so
 // est_ns = sampled_ns * stride estimates a node's total inclusive time.
+// Clock-read bias: a sample's raw interval also contains the two clock
+// reads of every sample nested inside it, plus about one read of its own
+// (the tail of the opening read and the head of the closing one).  On
+// cheap sites that overhead rivals the work measured, so each sample
+// subtracts (inner reads + 1) x the cost of one read, calibrated once per
+// process, clamped at 0 (DebiasNs).
 // The stride is a power of two — workloads with matching power-of-two
 // periodicity could alias against it; no such pattern exists in the event
 // loop, but it is the standard caveat for strided samplers (DESIGN.md
@@ -178,6 +184,23 @@ class Profiler {
     occupancy_.Add(static_cast<double>(pending));
   }
 
+  /// Wall-clock cost of one steady_clock read in ns: calibrated once per
+  /// process by the first Enable (best of a few timed read loops).
+  double clock_read_ns() const { return clock_read_ns_; }
+  /// Test seam: replaces the calibrated cost (e.g. 0 to keep raw samples).
+  void set_clock_read_ns(double ns) { clock_read_ns_ = ns; }
+  /// Clock reads taken by sampled scopes so far: two per sample.
+  std::uint64_t clock_reads() const { return clock_reads_; }
+
+  /// One sample's debiased nanoseconds: the raw interval minus the clock
+  /// reads it contains, (inner_reads + 1) x read_ns, clamped at 0.
+  static std::uint64_t DebiasNs(std::int64_t raw_ns, std::uint64_t inner_reads,
+                                double read_ns) {
+    const double ns =
+        static_cast<double>(raw_ns) - static_cast<double>(inner_reads + 1) * read_ns;
+    return ns > 0.0 ? static_cast<std::uint64_t>(ns) : 0;
+  }
+
   /// Exporter self-measurement: ToJson's wall time for everything but the
   /// prof section itself (recorded out-of-tree to avoid self-reference).
   void RecordExportNs(std::uint64_t ns) { export_ns_ += ns; }
@@ -243,6 +266,8 @@ class Profiler {
   bool enabled_ = false;
   std::uint32_t mask_ = kDefaultStride - 1;
   Node* cur_ = nullptr;  // innermost open SAMPLE's node; nullptr = not sampling
+  std::uint64_t clock_reads_ = 0;  // reads by sampled scopes (two per sample)
+  double clock_read_ns_ = 0.0;     // cost of one read, set by Enable
   std::uint64_t site_calls_[kSiteCount] = {};  // exact entries per site
   std::vector<Node> nodes_;       // reserved to kMaxNodes: pointers stable
   Node* root_child_[kSiteCount];  // top-level nodes (no sampled ancestor)
@@ -281,20 +306,10 @@ class ProfScope {
   ProfScope& operator=(const ProfScope&) = delete;
 
  private:
-  void Open(Profiler* prof, Profiler::Node* parent, ProfSite site) {
-    prof_ = prof;
-    parent_ = parent;
-    node_ = prof->ChildOf(parent, site);
-    prof->cur_ = node_;
-    t0_ns_ = std::chrono::steady_clock::now().time_since_epoch().count();
-  }
-  void Close() {
-    const std::int64_t now_ns =
-        std::chrono::steady_clock::now().time_since_epoch().count();
-    prof_->cur_ = parent_;
-    ++node_->samples;
-    node_->sampled_ns += static_cast<std::uint64_t>(now_ns - t0_ns_);
-  }
+  // The sampled path, out of line so every hook site inlines only the
+  // counter increment and the two branches.
+  void Open(Profiler* prof, Profiler::Node* parent, ProfSite site);
+  void Close();
 
   // All members are meaningful only when sampled; prof_ == nullptr is the
   // "nothing to close" flag covering both the disabled and un-sampled
@@ -303,6 +318,7 @@ class ProfScope {
   Profiler::Node* node_ = nullptr;
   Profiler::Node* parent_ = nullptr;
   std::int64_t t0_ns_ = 0;
+  std::uint64_t reads0_ = 0;  // the profiler's clock_reads_ after our opening read
 };
 
 }  // namespace fastflex::telemetry

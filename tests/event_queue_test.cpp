@@ -175,6 +175,33 @@ TEST(EventQueueTest, ProcessedCountsEvents) {
   EXPECT_EQ(q.processed(), 7u);
 }
 
+TEST(EventQueueTest, ReservedKeyPopsWhereItsScheduleAtWould) {
+  // A key reserved between two same-time admissions and admitted only
+  // later (from inside a callback) pops between them, as a ScheduleAt at
+  // the reservation point would have.
+  EventQueue q;
+  std::vector<int> order;
+  std::vector<std::uint64_t> seqs;
+  q.ScheduleAt(5, [&] {
+    order.push_back(0);
+    q.ScheduleAtSeq(10, seqs[0], [&] {
+      order.push_back(2);
+      seqs.push_back(q.CurrentSeq());
+    });
+  });
+  q.ScheduleAt(10, [&] { order.push_back(1); });
+  seqs.push_back(q.ReserveSeq());
+  q.ScheduleAt(10, [&] { order.push_back(3); });
+  EXPECT_EQ(q.CurrentSeq(), EventQueue::kNoSeq);
+  q.RunAll();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+  ASSERT_EQ(seqs.size(), 2u);
+  EXPECT_EQ(seqs[1], seqs[0]);  // CurrentSeq() is the running event's key
+  EXPECT_EQ(q.CurrentSeq(), EventQueue::kNoSeq);
+  EXPECT_EQ(q.reserved(), 1u);
+  EXPECT_EQ(q.processed(), 4u);
+}
+
 // ---- Differential test against a reference model ---------------------------
 //
 // Drives an EventQueue and a plain ordered map keyed by (t, seq) with the
@@ -206,7 +233,7 @@ class QueueDiff {
       CheckCounters();
       return;
     }
-    switch (rng_.UniformInt(0, 9)) {
+    switch (rng_.UniformInt(0, 11)) {
       case 0:
       case 1:
       case 2:
@@ -221,9 +248,11 @@ class QueueDiff {
         cur_ctx_ = rng_.UniformInt(-1, 7);
         CurrentExec().ctx = cur_ctx_;
         break;
-      default:
+      case 9:
         if (model_.size() >= 4) ScheduleBulkSifted();
         break;
+      case 10: ReserveOne(); break;
+      default: AdmitReserved(0); break;
     }
     CheckCounters();
   }
@@ -250,6 +279,12 @@ class QueueDiff {
   };
   using Key = std::pair<SimTime, std::uint64_t>;
   static constexpr std::size_t kMaxPending = 400;
+
+  // A key taken by ReserveSeq and not yet admitted.
+  struct Reservation {
+    SimTime t;
+    std::uint64_t seq;
+  };
 
   // Three capture kinds: inline, boxed (larger than the inline budget) and
   // one that owns a shared_ptr, so leaked or doubly destroyed slots show up
@@ -282,9 +317,33 @@ class QueueDiff {
 
   SimTime DrawTime() { return now_ + rng_.UniformInt(-3, 20); }
 
-  void ModelAdmit(SimTime t, std::int64_t ctx, int id) {
-    model_[{std::max(t, now_), seq_++}] = Entry{ctx, id};
+  void ModelAdmit(SimTime t, std::int64_t ctx, int id) { ModelAdmitAt(t, seq_++, ctx, id); }
+  void ModelAdmitAt(SimTime t, std::uint64_t seq, std::int64_t ctx, int id) {
+    model_[{std::max(t, now_), seq}] = Entry{ctx, id};
     peak_ = std::max(peak_, model_.size());
+  }
+
+  // Takes the next seq without admitting anything; a quarter of the keys
+  // sit at Now() itself, the time a zero-delay re-admission would use.
+  void ReserveOne() {
+    const SimTime t = rng_.UniformInt(0, 3) == 0 ? now_ : std::max(now_, DrawTime());
+    EXPECT_EQ(q_->ReserveSeq(), seq_);
+    reserved_.push_back({t, seq_++});
+    ++reservations_;
+  }
+
+  // Admits one outstanding reservation, possibly many steps after it was
+  // taken (so later admissions already hold larger seqs).  The model takes
+  // the key as is.
+  void AdmitReserved(int gen) {
+    if (reserved_.empty()) return;
+    const auto i = static_cast<std::size_t>(
+        rng_.UniformInt(0, static_cast<std::int64_t>(reserved_.size()) - 1));
+    const Reservation r = reserved_[i];
+    reserved_.erase(reserved_.begin() + static_cast<std::ptrdiff_t>(i));
+    const int id = NewId(gen);
+    q_->ScheduleAtSeq(r.t, r.seq, Make(id));
+    ModelAdmitAt(r.t, r.seq, cur_ctx_, id);
   }
 
   void ScheduleOne(int gen) {
@@ -366,6 +425,7 @@ class QueueDiff {
     const auto it = model_.begin();
     EXPECT_EQ(id, it->second.id);
     EXPECT_EQ(q_->Now(), it->first.first);
+    EXPECT_EQ(q_->CurrentSeq(), it->first.second);
     if (in_dispatch_) {
       EXPECT_EQ(CurrentExec().ctx, it->second.ctx);
       cur_ctx_ = it->second.ctx;
@@ -379,10 +439,22 @@ class QueueDiff {
     if (gen_[static_cast<std::size_t>(id)] == 0 && rng_.UniformInt(0, 7) == 0) {
       for (auto n = rng_.UniformInt(1, 64); n > 0; --n) ScheduleOne(1);
     }
+    // Reserved keys from inside a callback: re-admitting one taken earlier
+    // (a timer that fired early re-admits itself at its recorded
+    // deadline), or taking a fresh one.
+    if (gen_[static_cast<std::size_t>(id)] == 0) {
+      switch (rng_.UniformInt(0, 5)) {
+        case 0: AdmitReserved(1); break;
+        case 1: ReserveOne(); break;
+        default: break;
+      }
+    }
   }
 
   void CheckCounters() {
     EXPECT_EQ(q_->Now(), now_);
+    EXPECT_EQ(q_->CurrentSeq(), EventQueue::kNoSeq);
+    EXPECT_EQ(q_->reserved(), reservations_);
     EXPECT_EQ(q_->Pending(), model_.size());
     EXPECT_EQ(q_->processed(), processed_);
     EXPECT_EQ(q_->peak_pending(), peak_);
@@ -394,6 +466,8 @@ class QueueDiff {
   std::unique_ptr<EventQueue> q_;
   std::vector<std::shared_ptr<int>> tokens_;
   std::map<Key, Entry> model_;
+  std::vector<Reservation> reserved_;  // taken, not yet admitted
+  std::uint64_t reservations_ = 0;     // every ReserveSeq so far
   std::vector<int> gen_;  // by event id
   SimTime now_ = 0;
   std::uint64_t seq_ = 0;

@@ -172,6 +172,57 @@ TEST(Profiler, EstimateScalesSampledTimeByStride) {
   EXPECT_DOUBLE_EQ(prof.EstimateNs(n), 256000.0);
 }
 
+TEST(Profiler, DebiasSubtractsEnclosedClockReads) {
+  // raw - (inner reads + 1) x cost, clamped at 0.
+  EXPECT_EQ(Profiler::DebiasNs(1000, 0, 40.0), 960u);
+  EXPECT_EQ(Profiler::DebiasNs(1000, 4, 40.0), 800u);
+  EXPECT_EQ(Profiler::DebiasNs(1000, 4, 39.5), 802u);
+  EXPECT_EQ(Profiler::DebiasNs(150, 4, 40.0), 0u);
+  EXPECT_EQ(Profiler::DebiasNs(1000, 0, 0.0), 1000u);
+  EXPECT_EQ(Profiler::DebiasNs(-3, 0, 0.0), 0u);
+}
+
+TEST(Profiler, SampledScopesCountTheirClockReads) {
+  Profiler prof;
+  prof.Enable(1);
+  // Calibrated once per process: every profiler gets the same cost.
+  Profiler other;
+  other.Enable(1);
+  EXPECT_EQ(prof.clock_read_ns(), other.clock_read_ns());
+  EXPECT_GE(prof.clock_read_ns(), 0.0);
+
+  // A cost far above any real interval clamps every sample to 0, so the
+  // correction reaches each node, nested ones included.
+  prof.set_clock_read_ns(1e15);
+  {
+    ProfScope outer(prof.enabled_self(), ProfSite::kEventDispatch);
+    { ProfScope a(prof.enabled_self(), ProfSite::kPipelineWalk); }
+    {
+      ProfScope b(prof.enabled_self(), ProfSite::kHostStack);
+      ProfScope c(prof.enabled_self(), ProfSite::kModeProtocol);
+    }
+  }
+  EXPECT_EQ(prof.clock_reads(), 8u);  // four samples, two reads each
+  std::uint64_t samples = 0;
+  for (const auto& n : prof.nodes()) {
+    samples += n.samples;
+    EXPECT_EQ(n.sampled_ns, 0u) << ProfSiteName(n.site);
+  }
+  EXPECT_EQ(samples, 4u);
+
+  // Un-sampled entries read no clock.
+  Profiler strided;
+  strided.Enable(256);
+  for (int i = 0; i < 10; ++i) {
+    ProfScope s(strided.enabled_self(), ProfSite::kPipelineWalk);
+  }
+  EXPECT_EQ(strided.clock_reads(), 2u);  // entry 0 only
+
+  // Merging carries the read count with the samples.
+  prof.MergeFrom(strided);
+  EXPECT_EQ(prof.clock_reads(), 10u);
+}
+
 // ---------------------------------------------------------- FlightRecorder
 
 TEST(FlightRecorder, RingOverwritesOldestOnceFull) {

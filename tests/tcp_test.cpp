@@ -2,11 +2,15 @@
 // flows, application-limited (attack-style) flows, and UDP pulsing.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "control/routes.h"
 #include "sim/host.h"
 #include "sim/network.h"
 #include "sim/switch_node.h"
 #include "sim/tcp.h"
+#include "telemetry/flight_recorder.h"
+#include "telemetry/telemetry.h"
 
 namespace fastflex::sim {
 namespace {
@@ -152,6 +156,58 @@ TEST(TcpTest, RetransmitCounterVisibleToTelemetry) {
   net.RunUntil(15 * kSecond);
   // Slow-start overshoot guarantees at least one loss episode on this BDP.
   EXPECT_GT(net.flow_stats(f).retransmits, 0u);
+}
+
+TEST(TcpTest, StalledFlowRetransmitsAtItsRtoDeadline) {
+  // Cutting the path mid-transfer starves the sender of ACKs, so its first
+  // retransmission is the RTO firing at the deadline the last ACK armed.
+  // The retransmitted segment dies on the cut link one uplink hop later,
+  // and the flight recorder stamps that down-drop to the nanosecond.
+  Line line(1, 20e6);
+  Network net(line.t, 1);
+  control::InstallDstRoutes(net);
+  telemetry::Recorder rec;
+  net.SetTelemetry(&rec);
+  const FlowId f = net.StartTcpFlow(line.left[0], line.right[0], TcpParams{}, kSecond / 2);
+  const SimTime cut = 2 * kSecond + 123'457;
+  net.RunUntil(cut);
+  net.SetDuplexUp(line.mid, false);
+  const std::uint64_t retx_before = net.flow_stats(f).retransmits;
+  const std::uint64_t records_before = rec.flight().total();
+  net.RunUntil(3 * kSecond);
+  ASSERT_LT(rec.flight().total() - records_before, rec.flight().capacity());
+
+  // Down-drops of data segments once the in-flight tail has died (the RTO
+  // is at least min_rto = 200 ms after the last ACK).
+  std::vector<SimTime> retx_drops;
+  for (const telemetry::FlightRecord& r : rec.flight().Snapshot()) {
+    if (r.kind == telemetry::FlightKind::kLinkDrop && r.a == line.mid && r.b == 1040 &&
+        r.c == 1 && r.t > cut + 100 * kMillisecond) {
+      retx_drops.push_back(r.t);
+    }
+  }
+  // The first retransmission leaves the sender at 2.221021440 s (RTO
+  // deadline) and reaches the cut link 8,320 ns + 1 ms later; the second
+  // follows one doubled RTO after it.  Pinned to the values a timer event
+  // per armed deadline produces.
+  ASSERT_EQ(retx_drops.size(), 2u);
+  EXPECT_EQ(retx_drops[0], 2'222'029'760);
+  EXPECT_EQ(retx_drops[1], 2'622'029'760);
+  EXPECT_EQ(net.flow_stats(f).retransmits - retx_before, retx_drops.size());
+  net.SetTelemetry(nullptr);
+}
+
+TEST(TcpTest, OneLiveRtoTimerKeepsThePendingSetToTheFlight) {
+  // Over a long transfer the queue holds the flow's in-flight deliveries
+  // (each parks a pool slot), one RTO timer and at most a few retired
+  // ones.  One timer event per ACK would add a pending RTO per ACK within
+  // the last RTO span: hundreds here.
+  Line line(1, 20e6);
+  Network net(line.t, 1);
+  control::InstallDstRoutes(net);
+  net.StartTcpFlow(line.left[0], line.right[0], TcpParams{}, kSecond / 2);
+  net.RunUntil(20 * kSecond);
+  EXPECT_LE(net.events().peak_pending(), net.pool().slots() + 3);
 }
 
 TEST(UdpTest, CbrDeliversConfiguredRate) {
